@@ -39,6 +39,7 @@ from .genlogistic import (
 )
 from .mixture import (
     Assignment,
+    ClusterFit,
     KEntry,
     ModelSelectionReport,
     SkippedK,
@@ -47,6 +48,8 @@ from .mixture import (
     cluster,
     codelength_difference,
     complete_data_term,
+    derive_eps1,
+    fit_k_range,
     log_mixture_norm,
     select_k,
 )
@@ -76,6 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
+    "ClusterFit",
     "Dataset",
     "DegenerateEstimateError",
     "DomainCheck",
@@ -103,8 +107,10 @@ __all__ = [
     "codelength_difference",
     "complete_data_term",
     "compute_mle",
+    "derive_eps1",
     "eigen_sym",
     "exact_log_norm_1d",
+    "fit_k_range",
     "gaussian_codelength",
     "gaussian_data_term",
     "genlog_codelength",

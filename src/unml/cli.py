@@ -15,8 +15,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import (
     DegenerateEstimateError,
     DomainViolationError,
@@ -28,13 +26,13 @@ from .errors import (
 )
 from .gaussian import exact_log_norm_1d, log_norm_bound
 from .genlogistic import GenLogisticSpec, genlog_codelength, genlog_mle
-from .mixture import SkippedK, best_clustering, build_report
+from .mixture import best_clustering  # noqa: F401  (bench/spans.py patches it here)
+from .mixture import build_report, derive_eps1, fit_k_range
 from .stats import (
-    Dataset,
     DomainSpec,
     choose_scale,
-    compute_mle,
     load_csv,
+    max_eps2_cap,
     save_csv,
     scale_dataset,
 )
@@ -46,22 +44,16 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_BOUND_FAILED = 5
 
-_EPS1_FLOOR = 1e-8
-_EPS1_SHRINK = 10.0
-
-
-def _max_allowed_cap(m: int) -> float:
-    """Largest eps2_cap satisfying the orthogonal-volume constraint (1 for m = 1)."""
-    if m <= 1:
-        return 1.0
-    from .gaussian import log_multivariate_gamma
-
-    log_vol = (m * m / 2.0) * math.log(math.pi) - log_multivariate_gamma(m, m / 2.0)
-    return math.exp(-log_vol / (m * (m - 1) / 2.0))
-
 
 def _default_cap(m: int) -> float:
-    return min(0.25, 0.999 * _max_allowed_cap(m))
+    return min(0.25, 0.999 * max_eps2_cap(m))
+
+
+def _upper_bound_spec(m: int, args) -> DomainSpec:
+    """The flags' domain, with eps2 standing in for eps1, which scaling ignores."""
+    cap = args.eps2_cap if args.eps2_cap is not None else _default_cap(m)
+    eps2 = min(args.eps2, cap)
+    return DomainSpec.uniform(m, R=args.r, eps1=eps2, eps2=eps2, eps2_cap=cap)
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -88,42 +80,18 @@ def _spec_dict(spec: DomainSpec) -> dict:
 
 def cmd_select(args) -> int:
     data = load_csv(args.input, header=args.header)
-    m = data.m
-    cap = args.eps2_cap if args.eps2_cap is not None else _default_cap(m)
-    eps2 = min(args.eps2, cap)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise InvalidInputError(f"bad K range [{args.k_min}, {args.k_max}]")
-
-    # scaling only needs the upper-bound constraints; eps1 is fixed afterwards
-    scaling_spec = DomainSpec.uniform(m, R=args.r, eps1=min(_EPS1_FLOOR, eps2 / 2),
-                                      eps2=eps2, eps2_cap=cap)
-    alpha = choose_scale(data, scaling_spec, margin=args.margin)
+    bounds = _upper_bound_spec(data.m, args)
+    alpha = choose_scale(data, bounds, margin=args.margin)
     scaled = scale_dataset(data, alpha)
-
-    picks = []
-    skipped = []
-    for k in range(args.k_min, args.k_max + 1):
-        if scaled.n < k * (m + 1):
-            skipped.append(SkippedK(
-                k=k, reason=f"needs at least {k * (m + 1)} observations, have {scaled.n}"))
-            continue
-        picks.append((k, best_clustering(scaled, k, scaling_spec, args.seed,
-                                         args.restarts)))
-    if args.eps1 is not None:
-        eps1 = args.eps1  # validated by DomainSpec below
-    else:
-        # smallest cluster eigenvalue observed across the run, shared by all K
-        smallest = math.inf
-        for _, z in picks:
-            for c in range(z.k):
-                members = Dataset(scaled.rows[z.labels == c + 1])
-                smallest = min(smallest, float(compute_mle(members).eigenvalues[0]))
-        eps1 = max(smallest / _EPS1_SHRINK, _EPS1_FLOOR) if math.isfinite(smallest) \
-            else _EPS1_FLOOR
-        eps1 = min(eps1, eps2)
-    spec = DomainSpec.uniform(m, R=args.r, eps1=eps1, eps2=eps2, eps2_cap=cap)
-    report = build_report(scaled, picks, skipped, spec, args.seed, args.restarts,
-                          alpha=alpha)
+    fits, skipped = fit_k_range(scaled, range(args.k_min, args.k_max + 1), bounds,
+                                args.seed, args.restarts)
+    eps2 = float(bounds.eps2[0])
+    eps1 = args.eps1 if args.eps1 is not None else derive_eps1(fits, eps2)
+    spec = DomainSpec.uniform(data.m, R=args.r, eps1=eps1, eps2=eps2,
+                              eps2_cap=bounds.eps2_cap)
+    report = build_report(fits, skipped, spec, args.seed, args.restarts, alpha=alpha)
 
     f = _unit_factor(args.unit)
     payload = {
@@ -207,10 +175,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scale(args) -> int:
     data = load_csv(args.input, header=args.header)
-    cap = args.eps2_cap if args.eps2_cap is not None else _default_cap(data.m)
-    eps2 = min(args.eps2, cap)
-    spec = DomainSpec.uniform(data.m, R=args.r, eps1=min(_EPS1_FLOOR, eps2 / 2),
-                              eps2=eps2, eps2_cap=cap)
+    spec = _upper_bound_spec(data.m, args)
     alpha = choose_scale(data, spec, margin=args.margin)
     scaled = scale_dataset(data, alpha)
     save_csv(scaled, args.scaled_output)

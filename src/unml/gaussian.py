@@ -29,7 +29,14 @@ from .errors import (
     InvalidInputError,
     SingularCovarianceError,
 )
-from .stats import Dataset, DomainSpec, GaussianMle, check_domain, compute_mle
+from .stats import (
+    Dataset,
+    DomainSpec,
+    GaussianMle,
+    check_domain,
+    compute_mle,
+    log_multivariate_gamma,
+)
 
 _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
@@ -44,36 +51,6 @@ class GaussianCodeLength:
     data_term: float
     log_norm: float
     total: float
-
-
-def log_multivariate_gamma(m: int, a):
-    r"""log of the multivariate gamma function Gamma_m(a).
-
-    Uses the product form
-
-        log Gamma_m(a) = (m(m-1)/4) log pi + sum_{j=1}^{m} log Gamma(a + (1-j)/2),
-
-    which reduces to the scalar log-gamma for m = 1.  Accepts a scalar or an
-    array ``a`` (applied elementwise).  Scalar log-gamma is delegated to
-    :func:`scipy.special.gammaln` (Cephes implementation, relative accuracy
-    well below 1e-12 on this range).
-
-    Raises
-    ------
-    InvalidInputError
-        If any ``a <= (m - 1)/2``, where the function is undefined; for
-        arguments of the form (n-1)/2 this signals n too small for m.
-    """
-    if m < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {m}")
-    a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr <= (m - 1) / 2.0):
-        raise InvalidInputError(
-            f"multivariate gamma undefined: need a > (m-1)/2 = {(m - 1) / 2.0}, got {a}")
-    js = np.arange(1, m + 1)
-    res = m * (m - 1) / 4.0 * math.log(math.pi) \
-        + gammaln(a_arr[..., None] + (1.0 - js) / 2.0).sum(axis=-1)
-    return float(res) if np.isscalar(a) or a_arr.ndim == 0 else res
 
 
 def log_domain_constant(spec: DomainSpec) -> float:

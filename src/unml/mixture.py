@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     SingularCovarianceError,
 )
-from .gaussian import gaussian_data_term, log_norm_bound
+from .gaussian import _LOG_2PI_E, log_norm_bound
 from .stats import Dataset, DomainSpec, compute_mle
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -105,6 +105,26 @@ class ModelSelectionReport:
     spec: DomainSpec
 
 
+@dataclass(frozen=True, eq=False)
+class ClusterFit:
+    """A clustering, its complete-data term and its smallest cluster eigenvalue."""
+
+    assignment: Assignment
+    data_term: float
+    min_eigenvalue: float
+
+
+def _data_term(counts: np.ndarray, eigenvalues: np.ndarray, n: int) -> float:
+    """The complete-data term from cluster sizes and eigenvalues (one row each)."""
+    m = eigenvalues.shape[1]
+    total = 0.0
+    for h, lam in zip(counts.tolist(), eigenvalues):
+        if h:
+            total += -h * math.log(h / n) + (m * h / 2.0 * _LOG_2PI_E
+                                             + h / 2.0 * float(np.log(lam).sum()))
+    return total
+
+
 def complete_data_term(data: Dataset, z: Assignment) -> float:
     """Negative log of the maximized complete-data likelihood, in nats.
 
@@ -116,8 +136,8 @@ def complete_data_term(data: Dataset, z: Assignment) -> float:
     if z.n != data.n:
         raise InvalidAssignmentError(
             f"assignment covers {z.n} observations, dataset has {data.n}")
-    n, m = data.n, data.m
-    total = 0.0
+    m = data.m
+    eigenvalues = np.ones((z.k, m))
     for k in range(z.k):
         h = int(z.counts[k])
         if h == 0:
@@ -125,12 +145,10 @@ def complete_data_term(data: Dataset, z: Assignment) -> float:
         if h < m + 1:
             raise InvalidAssignmentError(
                 f"cluster {k + 1} has {h} points; non-empty clusters need >= {m + 1}")
-        members = Dataset(data.rows[z.labels == k + 1])
-        mle = compute_mle(members)
-        if np.any(mle.eigenvalues <= 0.0):
+        eigenvalues[k] = compute_mle(Dataset(data.rows[z.labels == k + 1])).eigenvalues
+        if eigenvalues[k, 0] <= 0.0:
             raise SingularCovarianceError(f"cluster {k + 1} has singular covariance")
-        total += -h * math.log(h / n) + gaussian_data_term(mle, h)
-    return total
+    return _data_term(z.counts, eigenvalues, data.n)
 
 
 def codelength_difference(data: Dataset, z1: Assignment, z2: Assignment) -> float:
@@ -233,18 +251,10 @@ class _ClusterState:
     def refit(self, labels: np.ndarray) -> list[int]:
         """Refit per-cluster MLEs; returns indices of singular clusters."""
         singular = []
-        n = self.x.shape[0]
         for k in range(self.k):
             mask = labels == k
-            h = int(mask.sum())
-            self.counts[k] = h
-            if h == 0:
-                continue  # keep the previous center for repairs
-            mle = compute_mle(Dataset(self.x[mask])) if h >= 2 else None
-            if mle is None:
-                self.means[k] = self.x[mask][0]
-                singular.append(k)
-                continue
+            self.counts[k] = int(mask.sum())
+            mle = compute_mle(Dataset(self.x[mask]))
             self.means[k] = mle.mean
             self.eigvals[k] = mle.eigenvalues
             self.bases[k] = mle.eigenbasis
@@ -264,36 +274,23 @@ class _ClusterState:
                          + 0.5 * m * _LOG_2PI + 0.5 * mahal)
         return out
 
-    def objective(self, n: int) -> float:
-        val = 0.0
-        for k in range(self.k):
-            h = int(self.counts[k])
-            val += (-h * math.log(h / n) + h * self.m / 2.0 * (_LOG_2PI + 1.0)
-                    + h / 2.0 * float(np.log(self.eigvals[k]).sum()))
-        return val
 
-
-def _repair_counts(labels: np.ndarray, state: _ClusterState, min_size: int) -> bool:
+def _repair_counts(labels: np.ndarray, state: _ClusterState, min_size: int) -> None:
     """Top up undersized clusters with the nearest points from the largest one.
 
-    Returns True if any point moved.  Donors never drop below ``min_size``.
+    Donors never drop below ``min_size``; one always exists since n >= k * min_size.
     """
-    moved = False
     x = state.x
     for k in range(state.k):
         while int((labels == k).sum()) < min_size:
             counts = np.bincount(labels, minlength=state.k)
             donor = int(np.argmax(counts))
             if donor == k or counts[donor] <= min_size:
-                viable = [(c, i) for i, c in enumerate(counts) if i != k and c > min_size]
-                if not viable:
-                    return moved
-                donor = max(viable)[1]
+                donor = max((c, i) for i, c in enumerate(counts)
+                            if i != k and c > min_size)[1]
             cand = np.nonzero(labels == donor)[0]
             d2 = ((x[cand] - state.means[k]) ** 2).sum(axis=1)
             labels[cand[int(np.argmin(d2))]] = k
-            moved = True
-    return moved
 
 
 def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
@@ -303,11 +300,17 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
     index draws over the data rows, so rescaled data yields the same initial
     indices; the descent alternates assignment and per-cluster refits and
     stops when the complete-data term improves by less than 1e-9 nats or after
-    500 rounds.  Every cluster in the result has at least m + 1 points.
+    500 rounds.  Every cluster in the result has at least m + 1 points and a
+    non-singular covariance; SingularCovarianceError is raised otherwise.
 
     The domain parameters do not steer the search; the argument is validated
     for dimension so one configuration can be threaded through a whole run.
     """
+    return _descend(data, k, spec, seed).assignment
+
+
+def _descend(data: Dataset, k: int, spec: DomainSpec, seed: int) -> ClusterFit:
+    # the descent behind cluster(); returns its best round
     n, m = data.n, data.m
     if spec.m != m:
         raise InvalidInputError(f"dimension mismatch: data m={m}, spec m={spec.m}")
@@ -318,7 +321,11 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
         raise InfeasibleKError(
             f"k={k} needs at least k*(m+1) = {k * min_size} observations, got {n}")
     if k == 1:
-        return Assignment(labels=np.ones(n, dtype=int), k=1)
+        lam = compute_mle(data).eigenvalues
+        if lam[0] <= 0.0:
+            raise SingularCovarianceError("cluster 1 has singular covariance")
+        return ClusterFit(Assignment(labels=np.ones(n, dtype=int), k=1),
+                          _data_term(np.array([n]), lam[None], n), float(lam[0]))
 
     x = data.rows
     rng = np.random.default_rng(int(seed))
@@ -329,8 +336,7 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
     state.means = centers.copy()
 
     repairs = 0
-    best_obj = math.inf
-    best_labels = None
+    best = None
     prev_obj = math.inf
     for _ in range(_MAX_ROUNDS):
         _repair_counts(labels, state, min_size)
@@ -351,15 +357,15 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
             dist = ((x[cand] - state.means[target]) ** 2).sum(axis=1)
             labels[cand[int(np.argmin(dist))]] = target
             singular = state.refit(labels)
-        obj = state.objective(n)
-        if obj < best_obj:
-            best_obj = obj
-            best_labels = labels.copy()
+        obj = _data_term(state.counts, state.eigvals, n)
+        if best is None or obj < best.data_term:
+            best = ClusterFit(Assignment(labels=labels + 1, k=k), obj,
+                              float(state.eigvals[:, 0].min()))
         if prev_obj - obj < _CONVERGENCE_TOL:
             break
         prev_obj = obj
         labels = np.argmin(state.costs(n), axis=1)
-    return Assignment(labels=best_labels + 1, k=k)
+    return best
 
 
 def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
@@ -370,36 +376,63 @@ def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
     reduced in fixed order, so the result does not depend on how restarts
     might be scheduled.
     """
+    return _best_fit(data, k, spec, seed, restarts).assignment
+
+
+def _best_fit(data: Dataset, k: int, spec: DomainSpec, seed: int,
+              restarts: int) -> ClusterFit:
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
-    best = None
-    best_term = math.inf
-    for r in range(restarts):
-        z = cluster(data, k, spec, _child_seed(seed, k, r))
-        term = complete_data_term(data, z)
-        if term < best_term:
-            best = z
-            best_term = term
-    return best
+    runs = restarts if k > 1 else 1  # k = 1 has a single clustering
+    return min((_descend(data, k, spec, _child_seed(seed, k, r)) for r in range(runs)),
+               key=lambda fit: fit.data_term)  # ties keep the earliest restart
 
 
-def build_report(data: Dataset, picks: list[tuple[int, Assignment]],
-                 skipped: list[SkippedK], spec: DomainSpec, seed: int,
-                 restarts: int, alpha: float = 1.0) -> ModelSelectionReport:
-    """Assemble per-K totals and the argmin from already-chosen assignments.
+def fit_k_range(data: Dataset, k_range, spec: DomainSpec, seed: int, restarts: int = 8
+                ) -> tuple[list[ClusterFit], list[SkippedK]]:
+    """Best-of-restarts fit for each candidate K, in increasing K.
+
+    Infeasible K values (n < k (m + 1)) are recorded as skipped.
+    """
+    ks = sorted(set(int(k) for k in k_range))
+    if not ks:
+        raise InvalidInputError("k_range is empty")
+    min_size = data.m + 1
+    fits, skipped = [], []
+    for k in ks:
+        if k < 1:
+            raise InvalidInputError(f"k must be >= 1, got {k}")
+        if data.n < k * min_size:
+            skipped.append(SkippedK(
+                k=k, reason=f"needs at least {k * min_size} observations, have {data.n}"))
+            continue
+        fits.append(_best_fit(data, k, spec, seed, restarts))
+    return fits, skipped
+
+
+def derive_eps1(fits: list[ClusterFit], eps2: float) -> float:
+    """Eigenvalue floor for a run: its smallest cluster eigenvalue / 10,
+    floored at 1e-8 and capped at ``eps2``."""
+    smallest = min((fit.min_eigenvalue for fit in fits), default=math.inf)
+    return min(max(smallest / 10.0, 1e-8), eps2)
+
+
+def build_report(fits: list[ClusterFit], skipped: list[SkippedK], spec: DomainSpec,
+                 seed: int, restarts: int, alpha: float = 1.0) -> ModelSelectionReport:
+    """Assemble per-K totals and the argmin from already-fitted clusterings.
 
     Ties in the total break toward smaller K.
     """
-    if not picks:
+    if not fits:
         raise InfeasibleKError("no feasible cluster count was evaluated")
-    k_max = max(k for k, _ in picks)
-    table = _mixture_norm_table(k_max, data.n, spec)
+    n = fits[0].assignment.n
+    table = _mixture_norm_table(max(fit.assignment.k for fit in fits), n, spec)
     entries = []
-    for k, z in sorted(picks, key=lambda pick: pick[0]):
-        data_term = complete_data_term(data, z)
-        log_norm = float(table[k - 1, data.n])
-        entries.append(KEntry(k=k, data_term=data_term, log_norm=log_norm,
-                              total=data_term + log_norm, assignment=z))
+    for fit in sorted(fits, key=lambda fit: fit.assignment.k):
+        z = fit.assignment
+        log_norm = float(table[z.k - 1, n])
+        entries.append(KEntry(k=z.k, data_term=fit.data_term, log_norm=log_norm,
+                              total=fit.data_term + log_norm, assignment=z))
     totals = [e.total for e in entries]
     selected = entries[int(np.argmin(totals))].k
     return ModelSelectionReport(entries=tuple(entries), skipped=tuple(skipped),
@@ -417,18 +450,5 @@ def select_k(data: Dataset, k_range, spec: DomainSpec, seed: int,
     be scaled into the domain already; ``alpha`` is carried into the report
     for provenance.
     """
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise InvalidInputError("k_range is empty")
-    min_size = data.m + 1
-    picks: list[tuple[int, Assignment]] = []
-    skipped: list[SkippedK] = []
-    for k in ks:
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
-        if data.n < k * min_size:
-            skipped.append(SkippedK(
-                k=k, reason=f"needs at least {k * min_size} observations, have {data.n}"))
-            continue
-        picks.append((k, best_clustering(data, k, spec, seed, restarts)))
-    return build_report(data, picks, skipped, spec, seed, restarts, alpha)
+    fits, skipped = fit_k_range(data, k_range, spec, seed, restarts)
+    return build_report(fits, skipped, spec, seed, restarts, alpha)

@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats as spstats
 from scipy.special import gammaln, logsumexp, ndtr, xlogy
 
 from .errors import DegenerateEstimateError, InvalidInputError
 from .genlogistic import genlog_sample, _log1p_exp_neg
-from .mixture import _log_cluster_terms
+from .mixture import _child_seed, _log_cluster_terms
 from .stats import DomainSpec
 
 _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
@@ -184,6 +183,8 @@ def quad_log_norm_1d(n: int, spec: DomainSpec) -> float:
         raise InvalidInputError(f"reduced quadrature only applies to m = 1, got {spec.m}")
     if n < 2:
         raise InvalidInputError(f"need n >= 2, got {n}")
+    from scipy import integrate  # slow to import; only this oracle needs it
+
     eps1, eps2 = float(spec.eps1[0]), float(spec.eps2[0])
     lam_integral, _ = integrate.quad(lambda t: t ** -1.5, eps1, eps2,
                                      epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -265,15 +266,12 @@ def ks_gamma_check(n: int, theta: float, replications: int, seed: int,
     scale = 1.0 / theta if null_scale is None else float(null_scale)
     stats_arr = np.empty(replications)
     for r in range(replications):
-        x = genlog_sample(n, theta, _replication_seed(seed, r))
+        x = genlog_sample(n, theta, _child_seed(seed, r))
         stats_arr[r] = float(_log1p_exp_neg(x).sum())
+    from scipy import stats as spstats  # slow to import; only this check needs it
+
     res = spstats.kstest(stats_arr, "gamma", args=(n, 0.0, scale))
     return GammaKsReport(statistic=float(res.statistic), pvalue=float(res.pvalue),
                          passed=bool(res.pvalue >= level), level=level,
                          replications=int(replications), n=int(n), theta=theta,
                          seed=int(seed))
-
-
-def _replication_seed(seed: int, r: int) -> int:
-    ss = np.random.SeedSequence([int(seed), int(r)])
-    return int(ss.generate_state(1, np.uint64)[0])

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unml
+from unml import DomainSpec, load_csv, scale_dataset, select_k
 from unml.cli import main
 
 
@@ -80,6 +86,39 @@ class TestSelect:
         code = main(["select", str(csv), "--k-min", "2", "--k-max", "3"])
         capsys.readouterr()
         assert code == 3
+
+    def test_constant_column_singular_exit_4_no_report(self, tmp_path, capsys):
+        csv = tmp_path / "const.csv"
+        np.savetxt(csv, np.full((10, 1), 3.0), delimiter=",")
+        out_path = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="degenerate data"):
+            code = main(["select", str(csv), "--k-max", "1", "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "singular covariance" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("eps1_flags", [["--eps1", "1e-4"], []])
+    def test_cli_is_select_k_on_the_scaled_data(self, tmp_path, capsys, eps1_flags):
+        # the CLI adds only scaling and the eps1 rule around the library pipeline
+        rng = np.random.default_rng(21)
+        rows = np.concatenate([rng.normal(c, 1.0, (30, 2)) for c in (0.0, 8.0, 16.0)])
+        csv = tmp_path / "blobs.csv"
+        np.savetxt(csv, rows, delimiter=",", fmt="%.17g")
+        code, out = run(["select", str(csv), "--k-max", "4", "--restarts", "3",
+                         "--seed", "9", *eps1_flags], capsys)
+        assert code == 0
+        report = json.loads(out)
+        s = report["spec"]
+        spec = DomainSpec(R=s["R"], eps1=s["eps1"], eps2=s["eps2"], eps2_cap=s["eps2_cap"])
+        lib = select_k(scale_dataset(load_csv(csv), report["alpha"]), range(1, 5), spec,
+                       seed=9, restarts=3, alpha=report["alpha"])
+        assert lib.selected_k == report["selected_k"]
+        assert [e.k for e in lib.entries] == [e["k"] for e in report["entries"]]
+        for e, r in zip(lib.entries, report["entries"]):
+            assert e.assignment.labels.tolist() == r["labels"]
+            assert (e.data_term, e.log_norm, e.total) == (
+                r["data_term"], r["log_norm"], r["total"])
 
     def test_header_flag(self, tmp_path, capsys):
         csv = tmp_path / "h.csv"
@@ -194,3 +233,14 @@ class TestDeterminism:
         assert main(args + ["--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    code = ("import sys, unml.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    src = str(Path(unml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 
 from unml import (
     Assignment,
+    ClusterFit,
     Dataset,
     DomainSpec,
     InfeasibleKError,
@@ -16,6 +17,8 @@ from unml import (
     codelength_difference,
     complete_data_term,
     compute_mle,
+    derive_eps1,
+    fit_k_range,
     gaussian_codelength,
     gaussian_data_term,
     log_mixture_norm,
@@ -256,3 +259,32 @@ class TestSelectK:
                 z = best_clustering(data, k, SPEC_1D, seed=11, restarts=restarts)
                 terms.append(complete_data_term(data, z))
             assert all(b <= a + 1e-12 for a, b in zip(terms, terms[1:]))
+
+
+class TestFitRecords:
+    def test_fits_carry_the_oracle_values(self):
+        data = two_blob_data(41, n_per=25, m=2)
+        spec = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
+        fits, skipped = fit_k_range(data, range(1, 5), spec, seed=3, restarts=3)
+        assert [f.assignment.k for f in fits] == [1, 2, 3, 4] and skipped == []
+        for fit in fits:
+            z = fit.assignment
+            assert fit.data_term == complete_data_term(data, z)
+            smallest = min(compute_mle(Dataset(data.rows[z.labels == c + 1])).eigenvalues[0]
+                           for c in range(z.k))
+            assert fit.min_eigenvalue == smallest
+
+    def test_best_fit_matches_best_clustering(self):
+        data = two_blob_data(43, n_per=20, gap=4.0)
+        fits, _ = fit_k_range(data, [3], SPEC_1D, seed=5, restarts=4)
+        z = best_clustering(data, 3, SPEC_1D, seed=5, restarts=4)
+        assert np.array_equal(fits[0].assignment.labels, z.labels)
+
+    def test_derive_eps1_rule(self):
+        def fit(lam):
+            return ClusterFit(Assignment(labels=[1, 1, 1], k=1), 0.0, lam)
+
+        assert derive_eps1([fit(0.5), fit(0.02)], 0.25) == pytest.approx(0.002)
+        assert derive_eps1([fit(1e-12)], 0.25) == 1e-8   # floor
+        assert derive_eps1([fit(10.0)], 0.25) == 0.25    # cap
+        assert derive_eps1([], 0.25) == 0.25             # no eigenvalue, only the cap
