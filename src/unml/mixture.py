@@ -236,61 +236,57 @@ def _seeded_center_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> n
     return np.asarray(idx)
 
 
-class _ClusterState:
-    """Mutable per-cluster MLE state used during the descent."""
+def _fit_clusters(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Sizes, means and clipped eigensystems of the 1/h scatter of each cluster.
 
-    def __init__(self, x: np.ndarray, k: int, m: int):
-        self.x = x
-        self.k = k
-        self.m = m
-        self.means = np.zeros((k, m))
-        self.eigvals = np.ones((k, m))
-        self.bases = np.tile(np.eye(m), (k, 1, 1))
-        self.counts = np.zeros(k, dtype=int)
-
-    def refit(self, labels: np.ndarray) -> list[int]:
-        """Refit per-cluster MLEs; returns indices of singular clusters."""
-        singular = []
-        for k in range(self.k):
-            mask = labels == k
-            self.counts[k] = int(mask.sum())
-            mle = compute_mle(Dataset(self.x[mask]))
-            self.means[k] = mle.mean
-            self.eigvals[k] = mle.eigenvalues
-            self.bases[k] = mle.eigenbasis
-            if mle.eigenvalues[0] <= 0.0:
-                singular.append(k)
-        return singular
-
-    def costs(self, n: int) -> np.ndarray:
-        """Per-point, per-cluster contribution to the complete-data term."""
-        x, m = self.x, self.m
-        out = np.empty((x.shape[0], self.k))
-        for k in range(self.k):
-            proj = (x - self.means[k]) @ self.bases[k]
-            mahal = (proj ** 2 / self.eigvals[k]).sum(axis=1)
-            out[:, k] = (-math.log(self.counts[k] / n)
-                         + 0.5 * float(np.log(self.eigvals[k]).sum())
-                         + 0.5 * m * _LOG_2PI + 0.5 * mahal)
-        return out
-
-
-def _repair_counts(labels: np.ndarray, state: _ClusterState, min_size: int) -> None:
-    """Top up undersized clusters with the nearest points from the largest one.
-
-    Donors never drop below ``min_size``; one always exists since n >= k * min_size.
+    Every cluster needs at least two points.  The eigenvector signs are not
+    fixed: the descent only uses squared projections.
     """
-    x = state.x
-    for k in range(state.k):
-        while int((labels == k).sum()) < min_size:
-            counts = np.bincount(labels, minlength=state.k)
-            donor = int(np.argmax(counts))
-            if donor == k or counts[donor] <= min_size:
-                donor = max((c, i) for i, c in enumerate(counts)
-                            if i != k and c > min_size)[1]
-            cand = np.nonzero(labels == donor)[0]
-            d2 = ((x[cand] - state.means[k]) ** 2).sum(axis=1)
-            labels[cand[int(np.argmin(d2))]] = k
+    m = x.shape[1]
+    counts = np.bincount(labels, minlength=k)
+    means = np.empty((k, m))
+    scatter = np.empty((k, m, m))
+    for j in range(k):
+        xj = x[labels == j]
+        means[j] = xj.mean(axis=0)
+        dev = xj - means[j]
+        scatter[j] = dev.T @ dev / counts[j]
+    vals, vecs = np.linalg.eigh((scatter + scatter.transpose(0, 2, 1)) / 2.0)
+    return counts, means, np.maximum(vals, 0.0), vecs  # a scatter matrix is PSD
+
+
+def _costs(x: np.ndarray, counts: np.ndarray, means: np.ndarray, eigvals: np.ndarray,
+           bases: np.ndarray) -> np.ndarray:
+    """Per-point, per-cluster contribution to the complete-data term."""
+    n, m = x.shape
+    out = np.empty((n, len(counts)))
+    for j in range(len(counts)):
+        proj = (x - means[j]) @ bases[j]
+        mahal = (proj ** 2 / eigvals[j]).sum(axis=1)
+        out[:, j] = (-math.log(counts[j] / n)
+                     + 0.5 * float(np.log(eigvals[j]).sum())
+                     + 0.5 * m * _LOG_2PI + 0.5 * mahal)
+    return out
+
+
+def _donate(x: np.ndarray, labels: np.ndarray, target: int, center: np.ndarray,
+            counts: np.ndarray, min_size: int) -> None:
+    """Move the point nearest ``center`` from the largest other cluster into
+    ``target``, updating ``labels`` and ``counts`` in place.
+
+    The donor must keep at least ``min_size`` points; SingularCovarianceError
+    is raised when no cluster can give one (always the case for k = 1).
+    """
+    others = np.where(np.arange(len(counts)) == target, -1, counts)
+    donor = int(np.argmax(others))
+    if others[donor] <= min_size:
+        raise SingularCovarianceError(
+            f"cluster {target + 1} has singular covariance and no donor points remain")
+    cand = np.nonzero(labels == donor)[0]
+    d2 = ((x[cand] - center) ** 2).sum(axis=1)
+    labels[cand[int(np.argmin(d2))]] = target
+    counts[donor] -= 1
+    counts[target] += 1
 
 
 def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
@@ -301,7 +297,10 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
     indices; the descent alternates assignment and per-cluster refits and
     stops when the complete-data term improves by less than 1e-9 nats or after
     500 rounds.  Every cluster in the result has at least m + 1 points and a
-    non-singular covariance; SingularCovarianceError is raised otherwise.
+    non-singular covariance: before each refit an undersized cluster, and
+    after it a singular one, takes the point nearest its mean from the largest
+    other cluster.  SingularCovarianceError is raised when no other cluster can
+    spare a point or after 10 singular repairs in one descent.
 
     The domain parameters do not steer the search; the argument is validated
     for dimension so one configuration can be threaded through a whole run.
@@ -320,51 +319,35 @@ def _descend(data: Dataset, k: int, spec: DomainSpec, seed: int) -> ClusterFit:
     if n < k * min_size:
         raise InfeasibleKError(
             f"k={k} needs at least k*(m+1) = {k * min_size} observations, got {n}")
-    if k == 1:
-        lam = compute_mle(data).eigenvalues
-        if lam[0] <= 0.0:
-            raise SingularCovarianceError("cluster 1 has singular covariance")
-        return ClusterFit(Assignment(labels=np.ones(n, dtype=int), k=1),
-                          _data_term(np.array([n]), lam[None], n), float(lam[0]))
-
     x = data.rows
     rng = np.random.default_rng(int(seed))
-    state = _ClusterState(x, k, m)
-    centers = x[_seeded_center_indices(x, k, rng)]
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    state.means = centers.copy()
+    means = x[_seeded_center_indices(x, k, rng)]
+    labels = np.argmin(((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
 
     repairs = 0
     best = None
     prev_obj = math.inf
     for _ in range(_MAX_ROUNDS):
-        _repair_counts(labels, state, min_size)
-        singular = state.refit(labels)
-        while singular:
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            while counts[j] < min_size:  # a donor exists since n >= k * min_size
+                _donate(x, labels, j, means[j], counts, min_size)
+        counts, means, lam, bases = _fit_clusters(x, labels, k)
+        while (singular := np.flatnonzero(lam[:, 0] <= 0.0)).size:
             repairs += 1
             if repairs > _MAX_REPAIRS:
                 raise SingularCovarianceError(
                     f"cluster {singular[0] + 1} stayed singular after "
                     f"{_MAX_REPAIRS} repair attempts")
-            target = singular[0]
-            counts = np.bincount(labels, minlength=k)
-            donor = int(np.argmax(np.where(np.arange(k) == target, -1, counts)))
-            if counts[donor] <= min_size:
-                raise SingularCovarianceError(
-                    f"cluster {target + 1} is singular and no donor points remain")
-            cand = np.nonzero(labels == donor)[0]
-            dist = ((x[cand] - state.means[target]) ** 2).sum(axis=1)
-            labels[cand[int(np.argmin(dist))]] = target
-            singular = state.refit(labels)
-        obj = _data_term(state.counts, state.eigvals, n)
+            _donate(x, labels, singular[0], means[singular[0]], counts, min_size)
+            counts, means, lam, bases = _fit_clusters(x, labels, k)
+        obj = _data_term(counts, lam, n)
         if best is None or obj < best.data_term:
-            best = ClusterFit(Assignment(labels=labels + 1, k=k), obj,
-                              float(state.eigvals[:, 0].min()))
+            best = ClusterFit(Assignment(labels=labels + 1, k=k), obj, float(lam[:, 0].min()))
         if prev_obj - obj < _CONVERGENCE_TOL:
             break
         prev_obj = obj
-        labels = np.argmin(state.costs(n), axis=1)
+        labels = np.argmin(_costs(x, counts, means, lam, bases), axis=1)
     return best
 
 

@@ -24,11 +24,11 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr, xlogy
 
 from .errors import DegenerateEstimateError, InvalidInputError
+from .gaussian import _LOG_2PI_E
 from .genlogistic import genlog_sample, _log1p_exp_neg
 from .mixture import _child_seed, _log_cluster_terms
 from .stats import DomainSpec
 
-_LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 _CHUNK = 16384          # fixed chunk size; chunk index -> seed mapping is part
                         # of the algorithm, so results do not depend on how
                         # chunks might be distributed over workers

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import unml.mixture as mixture
 from unml import (
     Assignment,
     ClusterFit,
@@ -190,6 +191,48 @@ class TestCluster:
         for k in (2, 3, 4):
             z = cluster(data, k, SPEC_1D, seed=1)
             assert np.all(z.counts >= data.m + 1)
+
+
+def tie_heavy(t):
+    """Small integer grids with a few jittered rows: clusters of repeated points."""
+    rng = np.random.default_rng(t)
+    m = 1 + t % 2
+    x = rng.integers(0, 4, (rng.integers(8, 30), m)).astype(float)
+    x[:rng.integers(0, 6)] += 0.01 * rng.standard_normal((1, m))
+    spec = (DomainSpec.uniform(1, R=1, eps1=0.01, eps2=0.25) if m == 1 else
+            DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.2, eps2_cap=0.2))
+    return Dataset(x), spec
+
+
+class TestRepairs:
+    """Descents that reach the size and singular-covariance repairs."""
+
+    @pytest.mark.parametrize("t, k, labels, data_term", [
+        (0, 3, [2, 3, 3, 1, 1, 1, 1, 1, 2, 3, 2, 3, 3, 2, 3, 3, 3, 3, 2, 1, 2, 3, 1, 1,
+                2, 3], 38.1029860548384),
+        (1, 3, [2, 3, 2, 3, 2, 1, 3, 3, 1, 2, 2, 2, 1, 3, 1, 2, 1, 2], -27.481393317265365),
+        (2, 2, [1, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                1, 1], 39.155425569105496),
+    ])
+    def test_repaired_descents_are_pinned(self, monkeypatch, t, k, labels, data_term):
+        data, spec = tie_heavy(t)
+        z = cluster(data, k, spec, t)
+        assert z.labels.tolist() == labels
+        assert complete_data_term(data, z) == pytest.approx(data_term, rel=1e-9)
+        monkeypatch.setattr(mixture, "_MAX_REPAIRS", 0)  # the pinned result needs a repair
+        with pytest.raises(SingularCovarianceError, match="after 0 repair attempts"):
+            cluster(data, k, spec, t)
+
+    def test_repair_cap(self):
+        data, spec = tie_heavy(0)
+        with pytest.raises(SingularCovarianceError,
+                           match="cluster 3 stayed singular after 10 repair attempts"):
+            cluster(data, 4, spec, 0)
+
+    def test_no_donor_left(self):
+        data, spec = tie_heavy(34)
+        with pytest.raises(SingularCovarianceError, match="no donor points remain"):
+            cluster(data, 3, spec, 34)
 
 
 class TestSelectK:

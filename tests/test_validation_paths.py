@@ -12,6 +12,7 @@ from unml import (
     InfeasibleKError,
     InvalidAssignmentError,
     InvalidInputError,
+    SingularCovarianceError,
     best_clustering,
     check_domain,
     choose_scale,
@@ -50,6 +51,8 @@ SPEC_2D = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
      InvalidInputError),
     (lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_2D, 0),
      InvalidInputError),
+    (lambda: cluster(Dataset(np.full((10, 1), 3.0)), 1, SPEC_1D, 0),
+     SingularCovarianceError),
     (lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_1D, 0,
                              restarts=0), InvalidInputError),
     (lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [], SPEC_1D, 0),
