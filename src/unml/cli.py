@@ -16,12 +16,10 @@ import math
 import sys
 
 from .errors import (
-    DegenerateEstimateError,
     DomainViolationError,
     InfeasibleKError,
     InvalidAssignmentError,
     InvalidInputError,
-    SingularCovarianceError,
     UnmlError,
 )
 from .gaussian import exact_log_norm_1d, log_norm_bound
@@ -271,11 +269,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (InfeasibleKError, DomainViolationError, InvalidAssignmentError,
-            InvalidInputError, ValueError) as exc:
+            ValueError) as exc:  # InvalidInputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SingularCovarianceError, DegenerateEstimateError, FloatingPointError,
-            UnmlError) as exc:
+    except (FloatingPointError, UnmlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -236,14 +236,15 @@ def _seeded_center_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> n
     return np.asarray(idx)
 
 
-def _fit_clusters(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """Sizes, means and clipped eigensystems of the 1/h scatter of each cluster.
+def _fit_clusters(x: np.ndarray, labels: np.ndarray, counts: np.ndarray
+                  ) -> tuple[np.ndarray, ...]:
+    """Means and clipped eigensystems of the 1/h scatter of each cluster.
 
-    Every cluster needs at least two points.  The eigenvector signs are not
-    fixed: the descent only uses squared projections.
+    ``counts`` holds the cluster sizes; every cluster needs at least two
+    points.  The eigenvector signs are not fixed: the descent only uses
+    squared projections.
     """
-    m = x.shape[1]
-    counts = np.bincount(labels, minlength=k)
+    k, m = len(counts), x.shape[1]
     means = np.empty((k, m))
     scatter = np.empty((k, m, m))
     for j in range(k):
@@ -252,7 +253,7 @@ def _fit_clusters(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray
         dev = xj - means[j]
         scatter[j] = dev.T @ dev / counts[j]
     vals, vecs = np.linalg.eigh((scatter + scatter.transpose(0, 2, 1)) / 2.0)
-    return counts, means, np.maximum(vals, 0.0), vecs  # a scatter matrix is PSD
+    return means, np.maximum(vals, 0.0), vecs  # a scatter matrix is PSD
 
 
 def _costs(x: np.ndarray, counts: np.ndarray, means: np.ndarray, eigvals: np.ndarray,
@@ -332,7 +333,7 @@ def _descend(data: Dataset, k: int, spec: DomainSpec, seed: int) -> ClusterFit:
         for j in range(k):
             while counts[j] < min_size:  # a donor exists since n >= k * min_size
                 _donate(x, labels, j, means[j], counts, min_size)
-        counts, means, lam, bases = _fit_clusters(x, labels, k)
+        means, lam, bases = _fit_clusters(x, labels, counts)
         while (singular := np.flatnonzero(lam[:, 0] <= 0.0)).size:
             repairs += 1
             if repairs > _MAX_REPAIRS:
@@ -340,15 +341,16 @@ def _descend(data: Dataset, k: int, spec: DomainSpec, seed: int) -> ClusterFit:
                     f"cluster {singular[0] + 1} stayed singular after "
                     f"{_MAX_REPAIRS} repair attempts")
             _donate(x, labels, singular[0], means[singular[0]], counts, min_size)
-            counts, means, lam, bases = _fit_clusters(x, labels, k)
+            means, lam, bases = _fit_clusters(x, labels, counts)
         obj = _data_term(counts, lam, n)
-        if best is None or obj < best.data_term:
-            best = ClusterFit(Assignment(labels=labels + 1, k=k), obj, float(lam[:, 0].min()))
+        if best is None or obj < best[0]:
+            best = obj, labels, lam  # no copy: labels is replaced before it next changes
         if prev_obj - obj < _CONVERGENCE_TOL:
             break
         prev_obj = obj
         labels = np.argmin(_costs(x, counts, means, lam, bases), axis=1)
-    return best
+    obj, labels, lam = best
+    return ClusterFit(Assignment(labels=labels + 1, k=k), obj, float(lam[:, 0].min()))
 
 
 def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
@@ -357,7 +359,9 @@ def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
 
     Restart seeds derive deterministically from the master seed and are
     reduced in fixed order, so the result does not depend on how restarts
-    might be scheduled.
+    might be scheduled.  A restart whose descent raises
+    SingularCovarianceError is skipped; the first restart's error is raised
+    only when every restart fails.
     """
     return _best_fit(data, k, spec, seed, restarts).assignment
 
@@ -366,9 +370,15 @@ def _best_fit(data: Dataset, k: int, spec: DomainSpec, seed: int,
               restarts: int) -> ClusterFit:
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
-    runs = restarts if k > 1 else 1  # k = 1 has a single clustering
-    return min((_descend(data, k, spec, _child_seed(seed, k, r)) for r in range(runs)),
-               key=lambda fit: fit.data_term)  # ties keep the earliest restart
+    fits, errors = [], []
+    for r in range(restarts if k > 1 else 1):  # k = 1 has a single clustering
+        try:
+            fits.append(_descend(data, k, spec, _child_seed(seed, k, r)))
+        except SingularCovarianceError as exc:
+            errors.append(exc)
+    if not fits:
+        raise errors[0]
+    return min(fits, key=lambda fit: fit.data_term)  # ties keep the earliest restart
 
 
 def fit_k_range(data: Dataset, k_range, spec: DomainSpec, seed: int, restarts: int = 8

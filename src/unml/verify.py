@@ -53,22 +53,6 @@ class McEstimate:
     seed: int
 
 
-def _sample_chunk(rng, cn, n, m, cube_half, mu_half, lam_grid, uniform_only):
-    """Draw one chunk of datasets; the draw order is fixed so masks never
-    change how much randomness is consumed."""
-    if uniform_only:
-        y = rng.uniform(-cube_half, cube_half, (cn, n, m))
-        return y, None
-    u_choice = rng.random(cn)
-    comp = rng.integers(0, lam_grid.size, cn)
-    y_unif = rng.uniform(-cube_half, cube_half, (cn, n, m))
-    mu_star = rng.uniform(-mu_half, mu_half, (cn, m))
-    z = rng.standard_normal((cn, n, m))
-    y_mix = mu_star[:, None, :] + np.sqrt(lam_grid[comp])[:, None, None] * z
-    use_mix = u_choice >= _DEFENSIVE_WEIGHT
-    return np.where(use_mix[:, None, None], y_mix, y_unif), use_mix
-
-
 def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     """log density of the hierarchical proposal at the sampled datasets.
 
@@ -130,35 +114,39 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     sum_w = 0.0
     sum_w2 = 0.0
     accepted = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        cn = min(_CHUNK, samples - done)
+    for chunk_index, start in enumerate(range(0, samples, _CHUNK)):
+        cn = min(_CHUNK, samples - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
-        y, _ = _sample_chunk(rng, cn, n, m, cube_half, mu_half, lam_grid, uniform_only)
+        if uniform_only:
+            y = rng.uniform(-cube_half, cube_half, (cn, n, m))
+        else:
+            # both components are always drawn, so the proposal choice never
+            # shifts the random stream
+            use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
+            scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
+            y_unif = rng.uniform(-cube_half, cube_half, (cn, n, m))
+            mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
+            y_mix = mu_star + scale[:, None, None] * rng.standard_normal((cn, n, m))
+            y = np.where(use_mix[:, None, None], y_mix, y_unif)
         mu_hat = y.mean(axis=1)
         dev = y - mu_hat[:, None, :]
         cov = np.einsum("ijk,ijl->ikl", dev, dev) / n
         lam = cov[:, :, 0] if m == 1 else np.linalg.eigvalsh(cov)
         member = ((mu_hat ** 2).sum(axis=1) <= spec.R) \
             & (lam >= eps1).all(axis=1) & (lam <= eps2).all(axis=1)
-        idx = np.nonzero(member)[0]
-        if idx.size:
-            log_f = -(m * n / 2.0) * _LOG_2PI_E - (n / 2.0) * np.log(lam[idx]).sum(axis=1)
-            if uniform_only:
-                log_q = -log_vcube
-            else:
-                # members lie inside the cube, so the uniform component is live
-                log_q_mix = _log_proposal_mixture(
-                    mu_hat[idx], lam[idx].sum(axis=1), n, m, mu_half, lam_grid)
-                log_q = np.logaddexp(math.log(_DEFENSIVE_WEIGHT) - log_vcube,
-                                     math.log(1.0 - _DEFENSIVE_WEIGHT) + log_q_mix)
-            w = np.exp(log_f - log_q)
-            sum_w += float(w.sum())
-            sum_w2 += float((w * w).sum())
-            accepted += int(idx.size)
-        done += cn
-        chunk_index += 1
+        mu_hat, lam = mu_hat[member], lam[member]
+        log_f = -(m * n / 2.0) * _LOG_2PI_E - (n / 2.0) * np.log(lam).sum(axis=1)
+        if uniform_only:
+            log_q = -log_vcube
+        else:
+            # members lie inside the cube, so the uniform component is live
+            log_q_mix = _log_proposal_mixture(mu_hat, lam.sum(axis=1), n, m, mu_half, lam_grid)
+            log_q = np.logaddexp(math.log(_DEFENSIVE_WEIGHT) - log_vcube,
+                                 math.log(1.0 - _DEFENSIVE_WEIGHT) + log_q_mix)
+        w = np.exp(log_f - log_q)
+        sum_w += float(w.sum())
+        sum_w2 += float((w * w).sum())
+        accepted += w.size
 
     if accepted == 0:
         raise DegenerateEstimateError(
@@ -196,17 +184,6 @@ def quad_log_norm_1d(n: int, spec: DomainSpec) -> float:
         return float(np.log(lam_integral) + np.log(mu_integral) + log_coeff)
 
 
-def _compositions(n: int, k: int):
-    # stars and bars over k ordered non-negative parts summing to n
-    for cuts in itertools.combinations(range(n + k - 1), k - 1):
-        prev = -1
-        parts = []
-        for c in (*cuts, n + k - 1):
-            parts.append(c - prev - 1)
-            prev = c
-        yield parts
-
-
 def mixture_norm_bruteforce(k: int, n: int, spec: DomainSpec) -> float:
     """Exhaustive enumeration of the mixture normalization sum.
 
@@ -222,7 +199,9 @@ def mixture_norm_bruteforce(k: int, n: int, spec: DomainSpec) -> float:
             f"{n_comps} compositions exceed the enumeration budget of 10^6")
     log_t = _log_cluster_terms(n, spec)
     terms = np.empty(n_comps)
-    for i, parts in enumerate(_compositions(n, k)):
+    # stars and bars: k - 1 cuts among n + k - 1 slots give k ordered parts
+    for i, cuts in enumerate(itertools.combinations(range(n + k - 1), k - 1)):
+        parts = np.diff((-1, *cuts, n + k - 1)) - 1
         lw = float(gammaln(n + 1)) - sum(float(gammaln(h + 1)) for h in parts)
         if n > 0:
             lw += sum(float(xlogy(h, h / n)) for h in parts)

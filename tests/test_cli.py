@@ -193,6 +193,12 @@ class TestVerify:
         capsys.readouterr()
         assert code == 3
 
+    def test_no_accepted_sample_exit_4(self, capsys):
+        code = main(["verify", "--m", "1", "--n", "3", "--samples", "10000",
+                     "--eps1", "1e-7", "--eps2", "1.0000001e-7"])
+        assert code == 4
+        assert "no sampled dataset" in capsys.readouterr().err
+
 
 class TestScale:
     def test_scales_into_domain(self, tmp_path, capsys):

@@ -234,6 +234,26 @@ class TestRepairs:
         with pytest.raises(SingularCovarianceError, match="no donor points remain"):
             cluster(data, 3, spec, 34)
 
+    @pytest.mark.parametrize("t, failing, data_term", [
+        (11, [0, 3, 5, 6, 7], 9.553541590127804),
+        (16, [0, 1, 5, 6, 7], 34.56005067514629),
+    ])
+    def test_failed_restarts_are_skipped(self, t, failing, data_term):
+        data, spec = tie_heavy(t)
+        for r in failing:
+            with pytest.raises(SingularCovarianceError):
+                mixture._descend(data, 3, spec, mixture._child_seed(0, 3, r))
+        fits, _ = fit_k_range(data, [3], spec, 0, 8)
+        best = mixture._descend(data, 3, spec, mixture._child_seed(0, 3, 2))
+        assert np.array_equal(fits[0].assignment.labels, best.assignment.labels)
+        assert fits[0].data_term == best.data_term
+        assert fits[0].data_term == pytest.approx(data_term, rel=1e-12)
+
+    def test_all_restarts_failing_raise_the_first_error(self):
+        data, spec = tie_heavy(34)  # restart 0 fails on cluster 1, restart 1 on cluster 2
+        with pytest.raises(SingularCovarianceError, match="cluster 1 has singular"):
+            best_clustering(data, 3, spec, 0, restarts=2)
+
 
 class TestSelectK:
     def test_single_blob_selects_one(self):

@@ -115,6 +115,36 @@ class TestMonteCarlo:
             mc_log_norm_dataspace(3, SPEC_1D, 100, seed=0)
 
 
+SPEC_2D = DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.25)
+
+
+class TestPinnedOracles:
+    """Oracle outputs recorded from the reference implementation."""
+
+    @pytest.mark.parametrize("n, spec, samples, seed, proposal, log_value, std_error, accepted", [
+        # six chunks without a member and one with a single member
+        (12, SPEC_1D, 100_000, 4, "uniform", 0.21388438704156898, 1.0, 1),
+        (3, SPEC_1D, 50_000, 5, "uniform", 1.982115180712262, 0.02424164589622538, 7397),
+        (3, SPEC_1D, 100_000, 99, "mixture", 2.0109946444410585, 0.004887992516680654,
+         36089),
+        (6, SPEC_2D, 100_000, 7, "mixture", 5.82990627213352, 0.013576851465110331, 17321),
+    ])
+    def test_monte_carlo(self, n, spec, samples, seed, proposal, log_value, std_error,
+                         accepted):
+        est = mc_log_norm_dataspace(n, spec, samples, seed, proposal)
+        assert est.accepted == accepted
+        assert est.log_value == pytest.approx(log_value, rel=1e-12)
+        assert est.std_error_log == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("k, n, value", [
+        (2, 9, 15.665574333547704),
+        (3, 12, 21.73660119851547),
+        (4, 10, 20.199754822436052),
+    ])
+    def test_bruteforce(self, k, n, value):
+        assert mixture_norm_bruteforce(k, n, SPEC_2D) == pytest.approx(value, rel=1e-12)
+
+
 class TestBruteForce:
     def test_k1_equals_bound(self):
         for n in (2, 6, 11):
