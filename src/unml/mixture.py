@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import (
     InfeasibleKError,
@@ -35,6 +35,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _CONVERGENCE_TOL = 1e-9
 _MAX_ROUNDS = 500
 _MAX_REPAIRS = 10
+_TABLE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,23 +186,45 @@ def _mixture_norm_table(k_max: int, n: int, spec: DomainSpec) -> np.ndarray:
         C_k(n) = sum_{s=0}^{n} binom(n, s) (s/n)^s ((n-s)/n)^(n-s)
                  * C_{k-1}(s) * T(n - s),
 
-    with the 0^0 = 1 convention, base case C_1 = T.  Runs in O(k n^2).
+    with the 0^0 = 1 convention, base case C_1 = T.  The log weight factors
+    as G(n) + a(s) + a(n - s) with a(s) = s log s - log s! and
+    G(n) = log n! - n log n = -a(n), so E_k = a + log C_k obeys the plain
+    log-domain convolution
+
+        E_k(n) = logsumexp_s [E_{k-1}(s) + E_1(n - s)],   log C_k = E_k - a.
+
+    Each entry is one log-sum-exp shifted by its own maximum, as in the
+    direct recurrence; the entries are evaluated a block of n values at a
+    time (at most _TABLE_BLOCK elements, 256 KB, per block).  A float64 convolution of the
+    exponentiated rows would be faster but is not exact: one scale for a whole
+    row cannot cover its dynamic range, which grows with m and k (C_8(300) is
+    off by 2e-4 relative at m = 22 and inner entries by far more).  Runs in
+    O(k n^2).
     """
     if k_max < 1 or n < 0:
         raise InvalidInputError(f"need k >= 1 and n >= 0, got k={k_max}, n={n}")
+    sizes = np.arange(n + 1)
+    a = xlogy(sizes, sizes) - gammaln(sizes + 1)
     log_t = _log_cluster_terms(n, spec)
-    table = np.empty((k_max + 1, n + 1))
-    table[1] = log_t
-    for k in range(2, k_max + 1):
-        for nn in range(n + 1):
-            s = np.arange(nn + 1)
-            if nn == 0:
-                table[k, 0] = table[k - 1, 0] + log_t[0]
-                continue
-            lw = (gammaln(nn + 1) - gammaln(s + 1) - gammaln(nn - s + 1)
-                  + xlogy(s, s / nn) + xlogy(nn - s, (nn - s) / nn))
-            table[k, nn] = logsumexp(lw + table[k - 1, s] + log_t[nn - s])
-    return table[1:]
+    table = np.empty((k_max, n + 1))
+    table[0] = a + log_t
+    # toeplitz[j, s] = E_1(j - s), -inf for s > j.
+    padded = np.concatenate([table[0, ::-1], np.full(n, -np.inf)])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]
+    rows = max(1, _TABLE_BLOCK // (n + 1))
+    for k in range(1, k_max):
+        for lo in range(0, n + 1, rows):
+            hi = min(lo + rows, n + 1)
+            block = table[k - 1, :hi] + toeplitz[lo:hi, :hi]
+            shift = block.max(axis=1)
+            shift[shift == -np.inf] = 0.0
+            block -= shift[:, None]
+            np.exp(block, out=block)
+            with np.errstate(divide="ignore"):
+                table[k, lo:hi] = shift + np.log(block.sum(axis=1))
+    table -= a
+    table[0] = log_t
+    return table
 
 
 def log_mixture_norm(k: int, n: int, spec: DomainSpec) -> float:

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp, xlogy
 
 import unml.mixture as mixture
 from unml import (
@@ -148,12 +150,66 @@ class TestLogMixtureNorm:
         assert log_mixture_norm(2, 4, SPEC_1D) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_k(self):
-        for n in (4, 9, 15):
+        for n in (4, 9, 15, 3000):
             vals = [log_mixture_norm(k, n, SPEC_1D) for k in (1, 2, 3, 4)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_n_zero(self):
         assert log_mixture_norm(3, 0, SPEC_1D) == 0.0
+
+    @staticmethod
+    def recurrence_entry(prev, log_t, nn):
+        """C_k(nn) from row k - 1 by the multinomial-weighted sum, term by term."""
+        if nn == 0:
+            return prev[0] + log_t[0]
+        s = np.arange(nn + 1)
+        lw = (gammaln(nn + 1) - gammaln(s + 1) - gammaln(nn - s + 1)
+              + xlogy(s, s / nn) + xlogy(nn - s, (nn - s) / nn))
+        return logsumexp(lw + prev[s] + log_t[nn - s])
+
+    def recurrence_table(self, k_max, n, spec):
+        log_t = mixture._log_cluster_terms(n, spec)
+        rows = [log_t]
+        for _ in range(k_max - 1):
+            rows.append(np.array([self.recurrence_entry(rows[-1], log_t, nn)
+                                  for nn in range(n + 1)]))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("m", [1, 3, 22, 26])
+    def test_every_entry_matches_recurrence(self, m):
+        spec = DomainSpec.uniform(m, R=1.0, eps1=1e-8, eps2=0.25)
+        table = mixture._mixture_norm_table(8, 300, spec)
+        expected = self.recurrence_table(8, 300, spec)
+        no_mass = np.isneginf(expected)
+        assert np.array_equal(np.isneginf(table), no_mass)
+        np.testing.assert_allclose(table[~no_mass], expected[~no_mass], rtol=1e-12, atol=0)
+
+    def test_large_n_column_matches_recurrence(self):
+        spec = DomainSpec.uniform(2, eps1=1e-4)
+        n = 2000
+        table = mixture._mixture_norm_table(4, n, spec)
+        prev = self.recurrence_table(3, n, spec)[-1]
+        expected = self.recurrence_entry(prev, mixture._log_cluster_terms(n, spec), n)
+        assert table[3, n] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k, n, spec, expected", [
+        (4, 500, SPEC_1D, 32.09727429995518),
+        (8, 240, DomainSpec.uniform(3, eps1=1e-8), 716.8394611891401),
+        (4, 3000, DomainSpec.uniform(2, eps1=1e-4), 131.67375648345745),
+    ])
+    def test_pinned_values(self, k, n, spec, expected):
+        # Recorded from the term-by-term recurrence.
+        assert log_mixture_norm(k, n, spec) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_at_most_m_has_no_mass(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = mixture._mixture_norm_table(3, n, DomainSpec.uniform(3))
+        expected = np.full(n + 1, -np.inf)
+        expected[0] = 0.0
+        for row in table:
+            np.testing.assert_array_equal(row, expected)
 
 
 class TestCluster:
