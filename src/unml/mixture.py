@@ -36,6 +36,7 @@ _CONVERGENCE_TOL = 1e-9
 _MAX_ROUNDS = 500
 _MAX_REPAIRS = 10
 _TABLE_BLOCK = 1 << 15
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,22 +262,42 @@ def _seeded_center_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 def _fit_clusters(x: np.ndarray, labels: np.ndarray, counts: np.ndarray
                   ) -> tuple[np.ndarray, ...]:
-    """Means and clipped eigensystems of the 1/h scatter of each cluster.
+    """Means and floored eigensystems of the 1/h scatter of each cluster.
 
     ``counts`` holds the cluster sizes; every cluster needs at least two
-    points.  The eigenvector signs are not fixed: the descent only uses
-    squared projections.
+    points.  An eigenvalue at or below the cluster's rounding bound (see
+    ``_rounding_floor``) is set to 0, so rounding noise counts as singular.
+    The eigenvector signs are not fixed: the descent only uses squared
+    projections.
     """
     k, m = len(counts), x.shape[1]
     means = np.empty((k, m))
     scatter = np.empty((k, m, m))
+    reach = np.empty(k)
     for j in range(k):
         xj = x[labels == j]
         means[j] = xj.mean(axis=0)
         dev = xj - means[j]
         scatter[j] = dev.T @ dev / counts[j]
+        reach[j] = np.sqrt((xj ** 2).sum(axis=1)).max()
     vals, vecs = np.linalg.eigh((scatter + scatter.transpose(0, 2, 1)) / 2.0)
-    return means, np.maximum(vals, 0.0), vecs  # a scatter matrix is PSD
+    vals[vals <= _rounding_floor(reach, counts, vals[:, -1])[:, None]] = 0.0
+    return means, vals, vecs
+
+
+def _rounding_floor(reach: np.ndarray, counts: np.ndarray, lam_max: np.ndarray
+                    ) -> np.ndarray:
+    """Per cluster, the rounding error float64 allows in a scatter eigenvalue.
+
+    With X the largest row norm of the cluster, centring moves each deviation
+    by about eps X, which moves the scatter by 2 eps X sqrt(lam_max) +
+    (eps X)^2; summing h outer products and the eigensolver add about
+    h eps lam_max.  The bound, 4 eps X sqrt(lam_max) + 4 (eps X)^2 +
+    4 h eps lam_max, scales with the data like an eigenvalue does.
+    """
+    ex = _EPS * reach
+    lam_max = np.maximum(lam_max, 0.0)
+    return 4.0 * ex * np.sqrt(lam_max) + 4.0 * ex * ex + 4.0 * counts * _EPS * lam_max
 
 
 def _costs(x: np.ndarray, counts: np.ndarray, means: np.ndarray, eigvals: np.ndarray,

@@ -311,6 +311,39 @@ class TestRepairs:
             best_clustering(data, 3, spec, 0, restarts=2)
 
 
+class TestRoundingFloor:
+    """Eigenvalues at the scatter's rounding level count as singular."""
+
+    def test_rounding_noise_cluster_is_repaired(self, monkeypatch):
+        data, spec = tie_heavy(259)
+        fit = mixture._descend(data, 3, spec, 259)
+        assert fit.assignment.labels.tolist() == [1, 3, 1, 3, 2, 3, 2, 1, 3, 2, 1, 1]
+        assert fit.data_term == pytest.approx(-28.217354811341124, rel=1e-9)
+        assert fit.min_eigenvalue == pytest.approx(1.536406071347763e-08, rel=1e-9)
+        # without the floor the descent prices a cluster of repeated points
+        monkeypatch.setattr(mixture, "_rounding_floor", lambda reach, counts, lam: 0 * reach)
+        assert mixture._descend(data, 3, spec, 259).min_eigenvalue < 1e-20
+
+    def test_far_off_tight_cluster_is_kept(self):
+        rng = np.random.default_rng(7)
+        tight = 1000.0 + 1e-6 * rng.standard_normal((40, 2))
+        data = Dataset(np.vstack([rng.standard_normal((40, 2)), tight]))
+        spec = DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.2, eps2_cap=0.2)
+        fits, _ = fit_k_range(data, [2], spec, 0, 4)
+        labels = fits[0].assignment.labels
+        assert len(set(labels[:40])) == 1 and set(labels[40:]) == {3 - labels[0]}
+        smallest = np.linalg.eigvalsh(np.cov(tight.T, bias=True))[0]
+        assert fits[0].min_eigenvalue == pytest.approx(smallest, rel=1e-6)
+        assert fits[0].min_eigenvalue < 1e-12
+
+    def test_floor_scales_like_an_eigenvalue(self):
+        reach, counts, lam = np.array([3.0, 0.5]), np.array([5, 40]), np.array([2.0, 1e-3])
+        base = mixture._rounding_floor(reach, counts, lam)
+        for alpha in (1e-3, 7.0, 1e4):
+            scaled = mixture._rounding_floor(reach * alpha, counts, lam * alpha ** 2)
+            np.testing.assert_allclose(scaled, base * alpha ** 2, rtol=1e-12)
+
+
 class TestSelectK:
     def test_single_blob_selects_one(self):
         rng = np.random.default_rng(13)
