@@ -29,14 +29,14 @@ from .errors import (
     SingularCovarianceError,
 )
 from .gaussian import _LOG_2PI_E, log_norm_bound
-from .stats import Dataset, DomainSpec, compute_mle
+from .stats import Dataset, DomainSpec, _sum_squares, compute_mle, segment_moments
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CONVERGENCE_TOL = 1e-9
 _MAX_ROUNDS = 500
 _MAX_REPAIRS = 10
 _TABLE_BLOCK = 1 << 15
-_EPS = float(np.finfo(float).eps)
+_RESTART_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,22 +109,28 @@ class ModelSelectionReport:
 
 @dataclass(frozen=True, eq=False)
 class ClusterFit:
-    """A clustering, its complete-data term and its smallest cluster eigenvalue."""
+    """A clustering, its complete-data term and its smallest cluster eigenvalue.
+
+    ``rounds`` counts the descent's rounds (assignment + refit); ``converged``
+    is False when the descent stopped at its round cap instead of at the
+    convergence tolerance.
+    """
 
     assignment: Assignment
     data_term: float
     min_eigenvalue: float
+    rounds: int
+    converged: bool
 
 
-def _data_term(counts: np.ndarray, eigenvalues: np.ndarray, n: int) -> float:
-    """The complete-data term from cluster sizes and eigenvalues (one row each)."""
-    m = eigenvalues.shape[1]
-    total = 0.0
-    for h, lam in zip(counts.tolist(), eigenvalues):
-        if h:
-            total += -h * math.log(h / n) + (m * h / 2.0 * _LOG_2PI_E
-                                             + h / 2.0 * float(np.log(lam).sum()))
-    return total
+def _data_term(counts: np.ndarray, eigenvalues: np.ndarray, n: int) -> np.ndarray:
+    """The complete-data term from cluster sizes (..., k) and eigenvalues
+    (..., k, m), summed over the clusters of each leading index."""
+    m = eigenvalues.shape[-1]
+    h = counts.astype(float)
+    terms = -xlogy(h, h / n) + (m * h / 2.0 * _LOG_2PI_E
+                                + h / 2.0 * np.log(eigenvalues).sum(axis=-1))
+    return terms.sum(axis=-1)
 
 
 def complete_data_term(data: Dataset, z: Assignment) -> float:
@@ -139,7 +145,7 @@ def complete_data_term(data: Dataset, z: Assignment) -> float:
         raise InvalidAssignmentError(
             f"assignment covers {z.n} observations, dataset has {data.n}")
     m = data.m
-    eigenvalues = np.ones((z.k, m))
+    eigenvalues = np.ones((z.k, m))  # an empty cluster adds log 1 = 0
     for k in range(z.k):
         h = int(z.counts[k])
         if h == 0:
@@ -150,7 +156,7 @@ def complete_data_term(data: Dataset, z: Assignment) -> float:
         eigenvalues[k] = compute_mle(Dataset(data.rows[z.labels == k + 1])).eigenvalues
         if eigenvalues[k, 0] <= 0.0:
             raise SingularCovarianceError(f"cluster {k + 1} has singular covariance")
-    return _data_term(z.counts, eigenvalues, data.n)
+    return float(_data_term(z.counts, eigenvalues, data.n))
 
 
 def codelength_difference(data: Dataset, z1: Assignment, z2: Assignment) -> float:
@@ -243,74 +249,71 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _seeded_center_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    # k-means++ style: seeded index draws weighted by squared distance ratios,
-    # which are unchanged when the data is rescaled
+def _seeded_centers(x: np.ndarray, k: int, seeds: list) -> np.ndarray:
+    """k-means++ style initial centers (r, k, m), one row per seed.
+
+    Each seed's generator draws a first row index uniformly, then each next
+    one with probability proportional to the squared distance to the nearest
+    chosen row, the draw ``rng.choice(n, p=d2 / d2.sum())`` makes; the
+    distance ratios are unchanged when the data is rescaled.
+    """
     n = x.shape[0]
-    idx = [int(rng.integers(n))]
-    d2 = ((x - x[idx[0]]) ** 2).sum(axis=1)
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            cand = int(rng.integers(n))
-        else:
-            cand = int(rng.choice(n, p=d2 / total))
-        idx.append(cand)
-        d2 = np.minimum(d2, ((x - x[cand]) ** 2).sum(axis=1))
-    return np.asarray(idx)
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    idx = np.empty((len(seeds), k), dtype=int)
+    idx[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = _sum_squares(x - x[idx[:, 0], None, :])
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        pos = np.flatnonzero(total > 0)
+        cdf = (d2[pos] / total[pos, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        # a row index where all distances are 0, else a uniform u for the cdf
+        draws = np.array([rng.random() if t > 0 else rng.integers(n)
+                          for rng, t in zip(rngs, total)])
+        idx[:, j] = draws
+        # the number of cdf entries <= u is cdf.searchsorted(u, side="right")
+        idx[pos, j] = (cdf <= draws[pos, None]).sum(axis=1)
+        d2 = np.minimum(d2, _sum_squares(x - x[idx[:, j], None, :]))
+    return x[idx]
 
 
 def _fit_clusters(x: np.ndarray, labels: np.ndarray, counts: np.ndarray
                   ) -> tuple[np.ndarray, ...]:
-    """Means and floored eigensystems of the 1/h scatter of each cluster.
+    """Means (r, k, m), eigenvalues (r, k, m) and eigenbases (r, k, m, m) of
+    the 1/h scatter of every cluster of r label rows (r, n).
 
-    ``counts`` holds the cluster sizes; every cluster needs at least two
-    points.  An eigenvalue at or below the cluster's rounding bound (see
-    ``_rounding_floor``) is set to 0, so rounding noise counts as singular.
-    The eigenvector signs are not fixed: the descent only uses squared
-    projections.
+    ``counts`` (r, k) holds the cluster sizes; every cluster needs at least
+    two points.  One stable sort makes each (label row, cluster) a contiguous
+    segment of rows in data order for ``segment_moments``, so a cluster's
+    statistics do not depend on the other label rows refitted with it.
+    Eigenvalues at the rounding level are 0 and eigenvector signs are not
+    fixed: the descent only uses squared projections.
     """
-    k, m = len(counts), x.shape[1]
-    means = np.empty((k, m))
-    scatter = np.empty((k, m, m))
-    reach = np.empty(k)
-    for j in range(k):
-        xj = x[labels == j]
-        means[j] = xj.mean(axis=0)
-        dev = xj - means[j]
-        scatter[j] = dev.T @ dev / counts[j]
-        reach[j] = np.sqrt((xj ** 2).sum(axis=1)).max()
-    vals, vecs = np.linalg.eigh((scatter + scatter.transpose(0, 2, 1)) / 2.0)
-    vals[vals <= _rounding_floor(reach, counts, vals[:, -1])[:, None]] = 0.0
-    return means, vals, vecs
-
-
-def _rounding_floor(reach: np.ndarray, counts: np.ndarray, lam_max: np.ndarray
-                    ) -> np.ndarray:
-    """Per cluster, the rounding error float64 allows in a scatter eigenvalue.
-
-    With X the largest row norm of the cluster, centring moves each deviation
-    by about eps X, which moves the scatter by 2 eps X sqrt(lam_max) +
-    (eps X)^2; summing h outer products and the eigensolver add about
-    h eps lam_max.  The bound, 4 eps X sqrt(lam_max) + 4 (eps X)^2 +
-    4 h eps lam_max, scales with the data like an eigenvalue does.
-    """
-    ex = _EPS * reach
-    lam_max = np.maximum(lam_max, 0.0)
-    return 4.0 * ex * np.sqrt(lam_max) + 4.0 * ex * ex + 4.0 * counts * _EPS * lam_max
+    r, n = labels.shape
+    k, m = counts.shape[1], x.shape[1]
+    key = (labels + k * np.arange(r)[:, None]).astype(np.min_scalar_type(r * k - 1))
+    order = np.argsort(key.ravel(), kind="stable")  # a radix sort for small keys
+    sizes = counts.ravel()
+    means, _, vals, vecs = segment_moments(np.take(x, order % n, axis=0),
+                                           np.cumsum(sizes) - sizes, sizes)
+    return means.reshape(r, k, m), vals.reshape(r, k, m), vecs.reshape(r, k, m, m)
 
 
 def _costs(x: np.ndarray, counts: np.ndarray, means: np.ndarray, eigvals: np.ndarray,
            bases: np.ndarray) -> np.ndarray:
-    """Per-point, per-cluster contribution to the complete-data term."""
+    """Per-cluster, per-point contribution to the complete-data term, (r, k, n).
+
+    With the whitened bases W = bases / sqrt(lam), the Mahalanobis term of
+    point x in a cluster is |x W - mean W|^2.
+    """
     n, m = x.shape
-    out = np.empty((n, len(counts)))
-    for j in range(len(counts)):
-        proj = (x - means[j]) @ bases[j]
-        mahal = (proj ** 2 / eigvals[j]).sum(axis=1)
-        out[:, j] = (-math.log(counts[j] / n)
-                     + 0.5 * float(np.log(eigvals[j]).sum())
-                     + 0.5 * m * _LOG_2PI + 0.5 * mahal)
+    whitened = bases / np.sqrt(eigvals)[..., None, :]
+    y = x @ whitened
+    y -= means[..., None, :] @ whitened
+    out = _sum_squares(y)  # the Mahalanobis terms
+    out *= 0.5
+    out += (-np.log(counts / n) + 0.5 * np.log(eigvals).sum(axis=-1)
+            + 0.5 * m * _LOG_2PI)[..., None]
     return out
 
 
@@ -344,68 +347,129 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
     500 rounds.  Every cluster in the result has at least m + 1 points and a
     non-singular covariance: before each refit an undersized cluster, and
     after it a singular one, takes the point nearest its mean from the largest
-    other cluster.  SingularCovarianceError is raised when no other cluster can
-    spare a point or after 10 singular repairs in one descent.
+    other cluster.  A covariance eigenvalue at or below the cluster's
+    float64 rounding bound counts as singular (see
+    ``stats.segment_moments``).  SingularCovarianceError is raised when no
+    other cluster can spare a point or after 10 singular repairs in one
+    descent.
 
-    The domain parameters do not steer the search; the argument is validated
+    This is the one-seed case of the descent that ``best_clustering`` runs
+    for all its restarts at once; both give the same result for a seed.  The
+    domain parameters do not steer the search; the argument is validated
     for dimension so one configuration can be threaded through a whole run.
     """
     return _descend(data, k, spec, seed).assignment
 
 
 def _descend(data: Dataset, k: int, spec: DomainSpec, seed: int) -> ClusterFit:
-    # the descent behind cluster(); returns its best round
+    # one seed of _descend_restarts: its best round, or its error raised
+    result, = _descend_restarts(data, k, spec, [seed])
+    if isinstance(result, SingularCovarianceError):
+        raise result
+    return result
+
+
+def _descend_restarts(data: Dataset, k: int, spec: DomainSpec, seeds: list
+                      ) -> list:
+    """One descent per seed, run together; a ClusterFit or the
+    SingularCovarianceError that ended it, per seed in order.
+
+    Restarts run in blocks of at most ``_RESTART_BLOCK`` // (n m (k + m))
+    seeds, so the temporaries (O(k n m) for the costs and O(n m^2) for the
+    moments, per restart) stay O(_RESTART_BLOCK) elements.  Every step of a
+    restart is computed as it would be alone, so neither the block size nor
+    the other seeds change its result.
+    """
     n, m = data.n, data.m
     if spec.m != m:
         raise InvalidInputError(f"dimension mismatch: data m={m}, spec m={spec.m}")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    min_size = m + 1
-    if n < k * min_size:
+    if n < k * (m + 1):
         raise InfeasibleKError(
-            f"k={k} needs at least k*(m+1) = {k * min_size} observations, got {n}")
-    x = data.rows
-    rng = np.random.default_rng(int(seed))
-    means = x[_seeded_center_indices(x, k, rng)]
-    labels = np.argmin(((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
+            f"k={k} needs at least k*(m+1) = {k * (m + 1)} observations, got {n}")
+    per_block = max(1, _RESTART_BLOCK // (n * m * (k + m)))
+    results = []
+    for lo in range(0, len(seeds), per_block):
+        results += _descend_block(data.rows, k, seeds[lo:lo + per_block])
+    return results
 
-    repairs = 0
-    best = None
-    prev_obj = math.inf
+
+def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
+    # the descents of _descend_restarts for one block of seeds; row i of the
+    # working arrays is restart active[i], and a restart leaves them when it
+    # converges or fails
+    n, m = x.shape
+    min_size = m + 1
+    means = _seeded_centers(x, k, seeds)
+    labels = np.argmin(_sum_squares(x[None, :, None, :] - means[:, None, :, :]), axis=2)
+    results = [None] * len(seeds)
+    best_obj = np.full(len(seeds), math.inf)
+    best_labels = np.empty((len(seeds), n), dtype=int)
+    best_lam = np.empty((len(seeds), k, m))
+    prev_obj = np.full(len(seeds), math.inf)
+    rounds = np.zeros(len(seeds), dtype=int)
+    converged = np.zeros(len(seeds), dtype=bool)
+    repairs = np.zeros(len(seeds), dtype=int)
+    active = np.arange(len(seeds))
     for _ in range(_MAX_ROUNDS):
-        counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            while counts[j] < min_size:  # a donor exists since n >= k * min_size
-                _donate(x, labels, j, means[j], counts, min_size)
+        rounds[active] += 1
+        counts = np.bincount((labels + k * np.arange(len(active))[:, None]).ravel(),
+                             minlength=len(active) * k).reshape(-1, k)
+        for i in np.flatnonzero((counts < min_size).any(axis=1)):
+            for j in np.flatnonzero(counts[i] < min_size):
+                while counts[i, j] < min_size:  # a donor exists since n >= k * min_size
+                    _donate(x, labels[i], j, means[i, j], counts[i], min_size)
         means, lam, bases = _fit_clusters(x, labels, counts)
-        while (singular := np.flatnonzero(lam[:, 0] <= 0.0)).size:
-            repairs += 1
-            if repairs > _MAX_REPAIRS:
-                raise SingularCovarianceError(
-                    f"cluster {singular[0] + 1} stayed singular after "
-                    f"{_MAX_REPAIRS} repair attempts")
-            _donate(x, labels, singular[0], means[singular[0]], counts, min_size)
-            means, lam, bases = _fit_clusters(x, labels, counts)
+        ok = np.ones(len(active), dtype=bool)
+        for i in np.flatnonzero((lam[:, :, 0] <= 0.0).any(axis=1)):
+            try:
+                while (singular := np.flatnonzero(lam[i, :, 0] <= 0.0)).size:
+                    repairs[active[i]] += 1
+                    if repairs[active[i]] > _MAX_REPAIRS:
+                        raise SingularCovarianceError(
+                            f"cluster {singular[0] + 1} stayed singular after "
+                            f"{_MAX_REPAIRS} repair attempts")
+                    _donate(x, labels[i], singular[0], means[i, singular[0]], counts[i],
+                            min_size)
+                    refit = _fit_clusters(x, labels[i:i + 1], counts[i:i + 1])
+                    means[i], lam[i], bases[i] = (part[0] for part in refit)
+            except SingularCovarianceError as exc:
+                results[active[i]] = exc
+                ok[i] = False
+        active, labels, counts, means, lam, bases = (
+            part[ok] for part in (active, labels, counts, means, lam, bases))
         obj = _data_term(counts, lam, n)
-        if best is None or obj < best[0]:
-            best = obj, labels, lam  # no copy: labels is replaced before it next changes
-        if prev_obj - obj < _CONVERGENCE_TOL:
+        better = obj < best_obj[active]
+        best_obj[active[better]] = obj[better]
+        best_labels[active[better]] = labels[better]
+        best_lam[active[better]] = lam[better]
+        done = prev_obj[active] - obj < _CONVERGENCE_TOL
+        converged[active[done]] = True
+        prev_obj[active] = obj
+        active, labels, counts, means, lam, bases = (
+            part[~done] for part in (active, labels, counts, means, lam, bases))
+        if not active.size:
             break
-        prev_obj = obj
         labels = np.argmin(_costs(x, counts, means, lam, bases), axis=1)
-    obj, labels, lam = best
-    return ClusterFit(Assignment(labels=labels + 1, k=k), obj, float(lam[:, 0].min()))
+    for r, result in enumerate(results):
+        if result is None:
+            results[r] = ClusterFit(Assignment(labels=best_labels[r] + 1, k=k),
+                                    float(best_obj[r]), float(best_lam[r, :, 0].min()),
+                                    int(rounds[r]), bool(converged[r]))
+    return results
 
 
 def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
                     restarts: int = 8) -> Assignment:
     """Best of ``restarts`` seeded clusterings, judged by the complete-data term.
 
-    Restart seeds derive deterministically from the master seed and are
-    reduced in fixed order, so the result does not depend on how restarts
-    might be scheduled.  A restart whose descent raises
-    SingularCovarianceError is skipped; the first restart's error is raised
-    only when every restart fails.
+    Restart seeds derive deterministically from the master seed.  All
+    restarts run as one descent on a leading restart axis, and each restart's
+    result equals that of ``cluster`` with its seed; the best is taken in
+    restart order, so ties keep the earliest restart.  A restart whose
+    descent raises SingularCovarianceError is skipped; the first restart's
+    error is raised only when every restart fails.
     """
     return _best_fit(data, k, spec, seed, restarts).assignment
 
@@ -414,14 +478,11 @@ def _best_fit(data: Dataset, k: int, spec: DomainSpec, seed: int,
               restarts: int) -> ClusterFit:
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
-    fits, errors = [], []
-    for r in range(restarts if k > 1 else 1):  # k = 1 has a single clustering
-        try:
-            fits.append(_descend(data, k, spec, _child_seed(seed, k, r)))
-        except SingularCovarianceError as exc:
-            errors.append(exc)
+    seeds = [_child_seed(seed, k, r) for r in range(restarts if k > 1 else 1)]
+    results = _descend_restarts(data, k, spec, seeds)  # k = 1 has a single clustering
+    fits = [fit for fit in results if isinstance(fit, ClusterFit)]
     if not fits:
-        raise errors[0]
+        raise results[0]
     return min(fits, key=lambda fit: fit.data_term)  # ties keep the earliest restart
 
 

@@ -19,6 +19,7 @@ from scipy.special import gammaln
 from .errors import InsufficientDataError, InvalidInputError
 
 _SYMMETRY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,31 +224,87 @@ def eigen_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL * scale:
         raise InvalidInputError("matrix is not symmetric within tolerance")
-    sym = (a + a.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    for j in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    return vals, _fix_signs(vecs)
+
+
+def _fix_signs(vecs: np.ndarray) -> np.ndarray:
+    # flip each eigenvector column so its largest-magnitude entry is >= 0
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None, :], axis=0)
+    return np.where(top < 0, -vecs, vecs)
+
+
+def _rounding_floor(reach: np.ndarray, counts: np.ndarray, lam_max: np.ndarray
+                    ) -> np.ndarray:
+    """Per segment, the rounding error float64 allows in a scatter eigenvalue.
+
+    With X the largest row norm of the segment, centring moves each deviation
+    by about eps X, which moves the scatter by 2 eps X sqrt(lam_max) +
+    (eps X)^2; summing h outer products and the eigensolver add about
+    h eps lam_max.  The bound, 4 eps X sqrt(lam_max) + 4 (eps X)^2 +
+    4 h eps lam_max, scales with the data like an eigenvalue does.
+    """
+    ex = _EPS * reach
+    lam_max = np.maximum(lam_max, 0.0)
+    return 4.0 * ex * np.sqrt(lam_max) + 4.0 * ex * ex + 4.0 * counts * _EPS * lam_max
+
+
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    # sum of squares over the last axis of a temporary, which it overwrites:
+    # a view of a, summed coordinate by coordinate, which for fewer than 8
+    # coordinates is the order of (a * a).sum(axis=-1), at a fraction of its
+    # cost on a short axis and with no second array
+    np.square(a, out=a)
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def segment_moments(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
+                    ) -> tuple[np.ndarray, ...]:
+    """Mean, 1/h scatter and eigensystem of each contiguous segment of rows.
+
+    Segment i is ``rows[starts[i]:starts[i] + counts[i]]``; segments cover
+    ``rows`` in order and each holds at least one row.  Sums run over each
+    segment alone, in row order (``np.add.reduceat``), and the eigensolver
+    takes one matrix at a time, so a segment's results depend only on its own
+    rows in their order, not on which other segments share the call.
+    Eigenvalues are ascending; one at or below the segment's rounding bound
+    (``_rounding_floor``) is set to 0, so a scatter singular up to rounding
+    reads as singular.  Eigenvector signs are not fixed.
+    """
+    m = rows.shape[1]
+    reach = np.sqrt(np.maximum.reduceat(_sum_squares(rows.copy()), starts))
+    means = np.add.reduceat(rows, starts, axis=0) / counts[:, None]
+    dev = np.repeat(means, counts, axis=0)
+    np.subtract(rows, dev, out=dev)
+    # the upper triangle of the scatter, one entry (a, b) at a time
+    upper = np.nonzero(np.arange(m)[:, None] <= np.arange(m))
+    tri = np.empty((len(counts), len(upper[0])))
+    for t, (a, b) in enumerate(zip(*upper)):
+        tri[:, t] = np.add.reduceat(dev[:, a] * dev[:, b], starts)
+    scatter = np.empty((len(counts), m, m))
+    scatter[:, upper[0], upper[1]] = scatter[:, upper[1], upper[0]] = tri / counts[:, None]
+    vals, vecs = np.linalg.eigh(scatter)
+    vals[vals <= _rounding_floor(reach, counts, vals[:, -1])[:, None]] = 0.0
+    return means, scatter, vals, vecs
 
 
 def compute_mle(data: Dataset) -> GaussianMle:
     """Gaussian maximum-likelihood estimates of a dataset.
 
     Mean is the sample mean; covariance uses the 1/n normalization (never
-    1/(n-1)).  Needs at least two observations.
+    1/(n-1)).  Needs at least two observations.  The statistics come from
+    :func:`segment_moments` with one segment, the kernel of the clustering
+    descent, so an eigenvalue at the covariance's rounding level is 0.
     """
     if data.n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {data.n}")
-    x = data.rows
-    mean = x.mean(axis=0)
-    dev = x - mean
-    cov = dev.T @ dev / data.n
-    cov = (cov + cov.T) / 2.0
-    vals, vecs = eigen_sym(cov)
-    vals = np.maximum(vals, 0.0)  # clip eigh noise; a 1/n scatter matrix is PSD
-    return GaussianMle(mean=mean, covariance=cov, eigenvalues=vals, eigenbasis=vecs)
+    means, cov, vals, vecs = segment_moments(data.rows, np.zeros(1, dtype=int),
+                                             np.array([data.n]))
+    return GaussianMle(mean=means[0], covariance=cov[0], eigenvalues=vals[0],
+                       eigenbasis=_fix_signs(vecs[0]))
 
 
 def scale_dataset(data: Dataset, alpha: float) -> Dataset:

@@ -1,11 +1,13 @@
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
 import unml.mixture as mixture
+import unml.stats as stats
 from unml import (
     Assignment,
     ClusterFit,
@@ -321,7 +323,7 @@ class TestRoundingFloor:
         assert fit.data_term == pytest.approx(-28.217354811341124, rel=1e-9)
         assert fit.min_eigenvalue == pytest.approx(1.536406071347763e-08, rel=1e-9)
         # without the floor the descent prices a cluster of repeated points
-        monkeypatch.setattr(mixture, "_rounding_floor", lambda reach, counts, lam: 0 * reach)
+        monkeypatch.setattr(stats, "_rounding_floor", lambda reach, counts, lam: 0 * reach)
         assert mixture._descend(data, 3, spec, 259).min_eigenvalue < 1e-20
 
     def test_far_off_tight_cluster_is_kept(self):
@@ -338,10 +340,103 @@ class TestRoundingFloor:
 
     def test_floor_scales_like_an_eigenvalue(self):
         reach, counts, lam = np.array([3.0, 0.5]), np.array([5, 40]), np.array([2.0, 1e-3])
-        base = mixture._rounding_floor(reach, counts, lam)
+        base = stats._rounding_floor(reach, counts, lam)
         for alpha in (1e-3, 7.0, 1e4):
-            scaled = mixture._rounding_floor(reach * alpha, counts, lam * alpha ** 2)
+            scaled = stats._rounding_floor(reach * alpha, counts, lam * alpha ** 2)
             np.testing.assert_allclose(scaled, base * alpha ** 2, rtol=1e-12)
+
+
+def planted_blobs(seed, n=240, m=3, k=4):
+    """Unit-variance blobs 10 apart on the first axis, balanced and shuffled."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % k
+    rng.shuffle(labels)
+    centers = np.zeros((k, m))
+    centers[:, 0] = 10.0 * np.arange(k)
+    return Dataset(centers[labels] + rng.standard_normal((n, m)))
+
+
+def partition_crc(labels):
+    """crc32 of the labels renumbered in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.uint8)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return zlib.crc32(rank[inverse].tobytes())
+
+
+class TestStackedRestarts:
+    """The restarts of one K run as one descent, each as it would run alone."""
+
+    @pytest.fixture(params=["shipped", "one_restart_per_block"])
+    def blocks(self, request, monkeypatch):
+        if request.param == "one_restart_per_block":
+            monkeypatch.setattr(mixture, "_RESTART_BLOCK", 1)
+
+    @staticmethod
+    def best_single(data, k, spec, seed, restarts):
+        """Best of single-seed descents, in restart order; or the first error."""
+        fits, errors = [], []
+        for r in range(restarts):
+            try:
+                fits.append(mixture._descend(data, k, spec, mixture._child_seed(seed, k, r)))
+            except SingularCovarianceError as exc:
+                errors.append(exc)
+        return min(fits, key=lambda fit: fit.data_term) if fits else errors[0]
+
+    def assert_best_of_singles(self, data, k, spec, seed, restarts):
+        want = self.best_single(data, k, spec, seed, restarts)
+        if isinstance(want, SingularCovarianceError):
+            with pytest.raises(SingularCovarianceError) as info:
+                mixture._best_fit(data, k, spec, seed, restarts)
+            assert str(info.value) == str(want)
+            return
+        got = mixture._best_fit(data, k, spec, seed, restarts)
+        assert got.assignment.labels.tolist() == want.assignment.labels.tolist()
+        assert repr(got.data_term) == repr(want.data_term)
+        assert got.min_eigenvalue == want.min_eigenvalue
+        assert (got.rounds, got.converged) == (want.rounds, want.converged)
+
+    def test_tie_heavy(self, blocks):
+        for t in range(50):
+            data, spec = tie_heavy(t)
+            for k in (2, 3, 4):
+                if data.n >= k * (data.m + 1):
+                    self.assert_best_of_singles(data, k, spec, t, 8)
+
+    def test_planted_blobs(self, blocks):
+        data = planted_blobs(5)
+        spec = DomainSpec.uniform(3, R=1, eps1=1e-8, eps2=0.2, eps2_cap=0.2)
+        for k in range(2, 9):
+            self.assert_best_of_singles(data, k, spec, 5, 16)
+
+    def test_fit_k_range_is_pinned(self):
+        # recorded before restarts were stacked; the partitions are unchanged
+        # and data_term moved by at most 4e-15 relative
+        data = planted_blobs(6)
+        spec = DomainSpec.uniform(3, R=1, eps1=1e-8, eps2=0.2, eps2_cap=0.2)
+        fits, _ = fit_k_range(data, range(1, 9), spec, 6, 16)
+        expected = [
+            (1, 1597.798857242818, 3160482835), (2, 1517.608191075427, 3086725000),
+            (3, 1438.572919683732, 8241286), (4, 1327.7592081200821, 824918795),
+            (5, 1319.154078130952, 1164171394), (6, 1315.69951996068, 3303606850),
+            (7, 1306.0936107752036, 1864449675), (8, 1299.1519864151448, 3524461297),
+        ]
+        assert [fit.assignment.k for fit in fits] == [k for k, _, _ in expected]
+        for fit, (_, data_term, crc) in zip(fits, expected):
+            assert fit.data_term == pytest.approx(data_term, rel=1e-12)
+            assert partition_crc(fit.assignment.labels) == crc
+
+    def test_round_cap_is_reported(self, monkeypatch):
+        data = two_blob_data(9, n_per=30)
+        fit = mixture._descend(data, 2, SPEC_1D, 42)
+        assert fit.converged and 2 <= fit.rounds < mixture._MAX_ROUNDS
+        fits, _ = fit_k_range(data, [1, 2], SPEC_1D, 0, 3)
+        assert [(f.rounds, f.converged) for f in fits][0] == (2, True)
+        monkeypatch.setattr(mixture, "_MAX_ROUNDS", 1)
+        capped = mixture._descend(data, 2, SPEC_1D, 42)
+        assert (capped.rounds, capped.converged) == (1, False)
+        fits, _ = fit_k_range(data, [1, 2], SPEC_1D, 0, 3)
+        assert all((f.rounds, f.converged) == (1, False) for f in fits)
 
 
 class TestSelectK:
@@ -434,7 +529,7 @@ class TestFitRecords:
 
     def test_derive_eps1_rule(self):
         def fit(lam):
-            return ClusterFit(Assignment(labels=[1, 1, 1], k=1), 0.0, lam)
+            return ClusterFit(Assignment(labels=[1, 1, 1], k=1), 0.0, lam, 2, True)
 
         assert derive_eps1([fit(0.5), fit(0.02)], 0.25) == pytest.approx(0.002)
         assert derive_eps1([fit(1e-12)], 0.25) == 1e-8   # floor
