@@ -416,10 +416,9 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
         rounds[active] += 1
         counts = np.bincount((labels + k * np.arange(len(active))[:, None]).ravel(),
                              minlength=len(active) * k).reshape(-1, k)
-        for i in np.flatnonzero((counts < min_size).any(axis=1)):
-            for j in np.flatnonzero(counts[i] < min_size):
-                while counts[i, j] < min_size:  # a donor exists since n >= k * min_size
-                    _donate(x, labels[i], j, means[i, j], counts[i], min_size)
+        for i, j in zip(*np.nonzero(counts < min_size)):
+            while counts[i, j] < min_size:  # a donor exists since n >= k * min_size
+                _donate(x, labels[i], j, means[i, j], counts[i], min_size)
         means, lam, bases = _fit_clusters(x, labels, counts)
         ok = np.ones(len(active), dtype=bool)
         for i in np.flatnonzero((lam[:, :, 0] <= 0.0).any(axis=1)):

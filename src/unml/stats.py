@@ -250,10 +250,10 @@ def _rounding_floor(reach: np.ndarray, counts: np.ndarray, lam_max: np.ndarray
 
 
 def _sum_squares(a: np.ndarray) -> np.ndarray:
-    # sum of squares over the last axis of a temporary, which it overwrites:
-    # a view of a, summed coordinate by coordinate, which for fewer than 8
-    # coordinates is the order of (a * a).sum(axis=-1), at a fraction of its
-    # cost on a short axis and with no second array
+    # the sum of squares over the last axis of ``a``, a temporary that this
+    # overwrites and returns a view of; it adds coordinate by coordinate,
+    # which below 8 coordinates is the order of (a * a).sum(axis=-1), at a
+    # fraction of its cost on a short axis and with no second array
     np.square(a, out=a)
     out = a[..., 0]
     for j in range(1, a.shape[-1]):
