@@ -116,6 +116,9 @@ class TestMonteCarlo:
 
 
 SPEC_2D = DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.25)
+SPEC_3D = DomainSpec.uniform(3, R=1, eps1=0.01, eps2=0.25)
+SPEC_2D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.02]), eps2=np.array([0.1, 0.25]),
+                          eps2_cap=0.25)
 
 
 class TestPinnedOracles:
@@ -128,6 +131,11 @@ class TestPinnedOracles:
         (3, SPEC_1D, 100_000, 99, "mixture", 2.0109946444410585, 0.004887992516680654,
          36089),
         (6, SPEC_2D, 100_000, 7, "mixture", 5.82990627213352, 0.013576851465110331, 17321),
+        (4, SPEC_3D, 100_000, 11, "mixture", 5.49099721161351, 0.037590886780506094, 1691),
+        # per-coordinate bounds: a trace inside [sum eps1, sum eps2] is not
+        # enough, the sorted eigenvalues are checked one by one
+        (5, SPEC_2D_SKEW, 100_000, 17, "mixture", 6.136489302567973, 0.01606384524905298,
+         15289),
     ])
     def test_monte_carlo(self, n, spec, samples, seed, proposal, log_value, std_error,
                          accepted):
