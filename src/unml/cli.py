@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
         "proposal": args.proposal,
         "estimate": est.log_value,
         "stderr": est.std_error_log,
+        "effective_samples": est.effective_samples,
+        "max_weight_share": est.max_weight_share,
         "bound": bound,
         "pass": bool(ok),
         "spec": _spec_dict(spec),

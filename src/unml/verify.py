@@ -36,6 +36,7 @@ _DESK_SCALE_DIMS = 12   # cap on n * m for the data-space estimate
 _MIN_SAMPLES = 10_000
 _DEFENSIVE_WEIGHT = 0.5
 _SCALE_GRID_SIZE = 12
+_TRACE_SLACK = 1e-9     # relative widening of the trace prefilter (see _members)
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,10 @@ class McEstimate:
     """A log-domain Monte Carlo estimate with its standard error.
 
     ``std_error_log`` is the delta-method standard error of ``log_value``.
+    ``effective_samples`` is Kish's effective sample size (sum w)^2 / sum w^2
+    of the importance weights and ``max_weight_share`` the largest weight's
+    share max w / sum w; a small effective sample size or a share near 1 means
+    a few datasets carry the estimate and its standard error is unreliable.
     Reproducible from ``(samples, seed)``.
     """
 
@@ -51,6 +56,8 @@ class McEstimate:
     samples: int
     accepted: int
     seed: int
+    effective_samples: float
+    max_weight_share: float
 
 
 def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
@@ -73,6 +80,45 @@ def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     return logsumexp(log_comp, axis=1) - math.log(lam_grid.size)
 
 
+def _members(dev: np.ndarray, spec: DomainSpec):
+    """Means and ascending scatter eigenvalues of the in-domain datasets.
+
+    ``dev`` holds a chunk of datasets coordinate-major, shape (m, n, cn), so
+    every reduction runs over contiguous rows of length cn; it is overwritten
+    with each dataset's deviations from its mean.  Returns the members' means
+    (members, m) and eigenvalues (members, m) in sample order.
+
+    A dataset is a member when ||mean||^2 <= R and its sorted scatter
+    eigenvalues satisfy eps1[j] <= lam[j] <= eps2[j].  Summing the eigenvalue
+    bounds gives a necessary condition, sum eps1 <= trace <= sum eps2, and the
+    trace costs one pass of squares over the buffer, so only the datasets that
+    pass it and the mean test get their m x m scatter assembled and decomposed.
+    The prefilter reads the trace summed from the squared deviations, while
+    membership reads the eigenvalues LAPACK returns.  The two differ only by
+    rounding: backward-stable eigenvalues are within O(m u) ||C|| of exact
+    (u = 2^-53) and ||C|| <= trace, so their sum is within a small multiple of
+    m^2 u of the trace, at most about 1e-14 relative for the m <= 3 that the
+    desk-scale cap allows (1.1e-15 is the largest seen with eigenvalues placed
+    on the bounds).  The trace interval is widened by ``_TRACE_SLACK`` = 1e-9
+    relative, far beyond that, so the prefilter drops no member; ``eigvalsh``
+    treats each matrix on its own, so the members and their eigenvalues are
+    those of decomposing every dataset.
+    """
+    n = dev.shape[1]
+    mu = dev.mean(axis=1)
+    dev -= mu[:, None, :]
+    scatter_trace = np.einsum("kji,kji->i", dev, dev)
+    cand = ((mu ** 2).sum(axis=0) <= spec.R) \
+        & (scatter_trace >= (1.0 - _TRACE_SLACK) * n * float(spec.eps1.sum())) \
+        & (scatter_trace <= (1.0 + _TRACE_SLACK) * n * float(spec.eps2.sum()))
+    d = dev[:, :, cand]
+    # entry (k, l) sums d[k, j] * d[l, j] over the points j in order
+    cov = (d[:, None] * d[None, :]).sum(axis=2).transpose(2, 0, 1) / n
+    lam = np.linalg.eigvalsh(cov)
+    ok = (lam >= spec.eps1).all(axis=1) & (lam <= spec.eps2).all(axis=1)
+    return mu.T[cand][ok], lam[ok]
+
+
 def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
                           proposal: str = "mixture") -> McEstimate:
     """Monte Carlo estimate of the log restricted normalization constant.
@@ -88,6 +134,13 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     to the domain's eigenvalue range; plain uniform sampling is retained as a
     cross-check but its weights are so heavy-tailed for larger n that the
     estimate concentrates below the truth at any affordable sample count.
+
+    The datasets are drawn in chunks of ``_CHUNK`` as (chunk, n, m) arrays
+    from a stream seeded by (seed, chunk index), then copied into one
+    coordinate-major (m, n, chunk) buffer allocated once per call.  Membership
+    is decided there by :func:`_members`: a mean and scatter-trace prefilter
+    that is exact (it never rejects a member), then ``eigvalsh`` on the
+    surviving datasets only.
 
     Limited to n * m <= 12 and at least 10^4 samples.
     """
@@ -108,33 +161,30 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     mu_half = math.sqrt(spec.R)
     lam_grid = np.geomspace(0.8 * float(spec.eps1.min()),
                             1.25 * float(spec.eps2.max()), _SCALE_GRID_SIZE)
-    eps1 = spec.eps1[None, :]
-    eps2 = spec.eps2[None, :]
+    buf = np.empty((m, n, min(_CHUNK, samples)))
 
     sum_w = 0.0
     sum_w2 = 0.0
+    max_w = 0.0
     accepted = 0
     for chunk_index, start in enumerate(range(0, samples, _CHUNK)):
         cn = min(_CHUNK, samples - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
+        dev = buf[:, :, :cn]
         if uniform_only:
-            y = rng.uniform(-cube_half, cube_half, (cn, n, m))
+            np.copyto(dev, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
         else:
             # both components are always drawn, so the proposal choice never
             # shifts the random stream
             use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
             scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
-            y_unif = rng.uniform(-cube_half, cube_half, (cn, n, m))
+            np.copyto(dev, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
             mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
-            y_mix = mu_star + scale[:, None, None] * rng.standard_normal((cn, n, m))
-            y = np.where(use_mix[:, None, None], y_mix, y_unif)
-        mu_hat = y.mean(axis=1)
-        dev = y - mu_hat[:, None, :]
-        cov = np.einsum("ijk,ijl->ikl", dev, dev) / n
-        lam = cov[:, :, 0] if m == 1 else np.linalg.eigvalsh(cov)
-        member = ((mu_hat ** 2).sum(axis=1) <= spec.R) \
-            & (lam >= eps1).all(axis=1) & (lam <= eps2).all(axis=1)
-        mu_hat, lam = mu_hat[member], lam[member]
+            # mu_star + scale * z, formed in the buffer's layout
+            y_mix = rng.standard_normal((cn, n, m)).T * scale
+            y_mix += mu_star.T
+            np.copyto(dev, y_mix, where=use_mix)
+        mu_hat, lam = _members(dev, spec)
         log_f = -(m * n / 2.0) * _LOG_2PI_E - (n / 2.0) * np.log(lam).sum(axis=1)
         if uniform_only:
             log_q = -log_vcube
@@ -146,6 +196,8 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
         w = np.exp(log_f - log_q)
         sum_w += float(w.sum())
         sum_w2 += float((w * w).sum())
+        if w.size:
+            max_w = max(max_w, float(w.max()))
         accepted += w.size
 
     if accepted == 0:
@@ -156,7 +208,9 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     var = max(sum_w2 - samples * mean * mean, 0.0) / (samples - 1)
     std_error = math.sqrt(var / samples)
     return McEstimate(log_value=math.log(mean), std_error_log=std_error / mean,
-                      samples=int(samples), accepted=accepted, seed=int(seed))
+                      samples=int(samples), accepted=accepted, seed=int(seed),
+                      effective_samples=sum_w * sum_w / sum_w2,
+                      max_weight_share=max_w / sum_w)
 
 
 def quad_log_norm_1d(n: int, spec: DomainSpec) -> float:

@@ -46,12 +46,31 @@ def test_genlog_report(tmp_path, capsys, validator):
     validator.validate(json.loads(out.read_text()))
 
 
-def test_verify_report(tmp_path, capsys, validator):
-    out = tmp_path / "r.json"
+@pytest.fixture(scope="module")
+def verify_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify") / "r.json"
     assert main(["verify", "--m", "1", "--n", "3", "--samples", "20000",
                  "--output", str(out)]) == 0
-    capsys.readouterr()
-    validator.validate(json.loads(out.read_text()))
+    return json.loads(out.read_text())
+
+
+def test_verify_report(verify_report, validator):
+    validator.validate(verify_report)
+    assert 1.0 <= verify_report["effective_samples"] <= verify_report["accepted"]
+    assert 0.0 < verify_report["max_weight_share"] <= 1.0
+
+
+@pytest.mark.parametrize("key", ["effective_samples", "max_weight_share"])
+def test_verify_diagnostics_required(verify_report, validator, key):
+    report = {k: v for k, v in verify_report.items() if k != key}
+    assert not validator.is_valid(report)
+
+
+@pytest.mark.parametrize("key, value", [("effective_samples", 0.0),
+                                        ("max_weight_share", 0.0),
+                                        ("max_weight_share", 1.5)])
+def test_verify_diagnostics_range(verify_report, validator, key, value):
+    assert not validator.is_valid({**verify_report, key: value})
 
 
 def test_scale_report(tmp_path, capsys, validator):

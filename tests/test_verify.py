@@ -15,6 +15,7 @@ from unml import (
     mixture_norm_bruteforce,
     quad_log_norm_1d,
 )
+from unml.verify import _members
 
 SPEC_1D = DomainSpec.uniform(1, R=1.0, eps1=0.01, eps2=0.25)
 
@@ -101,6 +102,23 @@ class TestMonteCarlo:
         assert est.accepted > 0
         assert est.log_value + 3.0 * est.std_error_log < log_norm_bound(4, spec)
 
+    def test_weight_diagnostics(self):
+        est = mc_log_norm_dataspace(6, DomainSpec.uniform(2), 100_000, seed=7)
+        # Kish's (sum w)^2 / sum w^2 fixes the delta-method standard error:
+        # se_log^2 = (samples / ess - 1) / (samples - 1)
+        assert est.std_error_log ** 2 == pytest.approx(
+            (est.samples / est.effective_samples - 1.0) / (est.samples - 1), rel=1e-9)
+        assert 1.0 <= est.effective_samples <= est.accepted
+        # sum w^2 <= max w * sum w, so ess >= 1 / share
+        assert 0.0 < est.max_weight_share <= 1.0
+        assert est.effective_samples * est.max_weight_share >= 1.0 - 1e-12
+
+    def test_single_member_diagnostics(self):
+        est = mc_log_norm_dataspace(12, SPEC_1D, 100_000, 4, "uniform")
+        assert est.accepted == 1
+        assert est.effective_samples == 1.0
+        assert est.max_weight_share == 1.0
+
     def test_zero_acceptance_degenerate(self):
         narrow = DomainSpec.uniform(1, eps1=1e-7, eps2=1.0000001e-7)
         with pytest.raises(DegenerateEstimateError):
@@ -119,6 +137,8 @@ SPEC_2D = DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.25)
 SPEC_3D = DomainSpec.uniform(3, R=1, eps1=0.01, eps2=0.25)
 SPEC_2D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.02]), eps2=np.array([0.1, 0.25]),
                           eps2_cap=0.25)
+SPEC_3D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.01, 0.02]),
+                          eps2=np.array([0.1, 0.2, 0.25]), eps2_cap=0.25)
 
 
 class TestPinnedOracles:
@@ -151,6 +171,51 @@ class TestPinnedOracles:
     ])
     def test_bruteforce(self, k, n, value):
         assert mixture_norm_bruteforce(k, n, SPEC_2D) == pytest.approx(value, rel=1e-12)
+
+
+def _boundary_datasets(spec, n, count, rng):
+    """Datasets (count, n, m) whose scatter eigenvalues sit on eps1 or eps2.
+
+    Each dataset puts all its eigenvalues on their lower bounds, all on their
+    upper bounds, or each on a random one of the two, under a random rotation;
+    its mean lies on the R sphere or inside it.  Rounding leaves the computed
+    eigenvalues on either side of the bounds.
+    """
+    m = spec.m
+    pick = rng.integers(0, 3, count)
+    upper = np.where(pick[:, None] == 2, rng.random((count, m)) < 0.5, (pick == 1)[:, None])
+    lam = np.where(upper, spec.eps2, spec.eps1)
+    z = rng.standard_normal((count, n, m))
+    z -= z.mean(axis=1, keepdims=True)
+    basis, _ = np.linalg.qr(z)      # orthonormal columns with zero mean
+    rot, _ = np.linalg.qr(rng.standard_normal((count, m, m)))
+    mean = rng.standard_normal((count, 1, m))
+    radius = np.where(rng.random(count) < 0.3, 1.0, rng.random(count)) * math.sqrt(spec.R)
+    mean *= (radius / np.linalg.norm(mean, axis=2)[:, 0])[:, None, None]
+    return math.sqrt(n) * (basis * np.sqrt(lam)[:, None, :]) @ rot.transpose(0, 2, 1) + mean
+
+
+class TestMembershipPrefilter:
+    """The oracle's trace prefilter never drops a dataset that decomposing
+    every scatter would accept, also with eigenvalues exactly on the bounds."""
+
+    @pytest.mark.parametrize("spec", [SPEC_2D, SPEC_2D_SKEW, SPEC_3D, SPEC_3D_SKEW],
+                             ids=["2d", "2d-skew", "3d", "3d-skew"])
+    @pytest.mark.parametrize("n_of_m", ["smallest", "largest"])
+    def test_boundary_eigenvalues(self, spec, n_of_m):
+        m = spec.m
+        n = m + 1 if n_of_m == "smallest" else 12 // m
+        y = _boundary_datasets(spec, n, 20_000, np.random.default_rng(17 + n))
+        # membership by decomposing every scatter, as the oracle once did
+        mu = y.mean(axis=1)
+        dev = y - mu[:, None, :]
+        lam = np.linalg.eigvalsh(np.einsum("ijk,ijl->ikl", dev, dev) / n)
+        member = ((mu ** 2).sum(axis=1) <= spec.R) \
+            & (lam >= spec.eps1).all(axis=1) & (lam <= spec.eps2).all(axis=1)
+        assert 0 < member.sum() < member.size
+        got_mu, got_lam = _members(np.ascontiguousarray(y.T), spec)
+        np.testing.assert_array_equal(got_lam, lam[member])
+        np.testing.assert_array_equal(got_mu, mu[member])
 
 
 class TestBruteForce:
