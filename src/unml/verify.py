@@ -80,10 +80,10 @@ def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     return logsumexp(log_comp, axis=1) - math.log(lam_grid.size)
 
 
-def _members(dev: np.ndarray, spec: DomainSpec):
+def _members(y: np.ndarray, spec: DomainSpec):
     """Means and ascending scatter eigenvalues of the in-domain datasets.
 
-    ``dev`` holds a chunk of datasets coordinate-major, shape (m, n, cn), so
+    ``y`` holds a chunk of datasets coordinate-major, shape (m, n, cn), so
     every reduction runs over contiguous rows of length cn; it is overwritten
     with each dataset's deviations from its mean.  Returns the members' means
     (members, m) and eigenvalues (members, m) in sample order.
@@ -104,14 +104,14 @@ def _members(dev: np.ndarray, spec: DomainSpec):
     treats each matrix on its own, so the members and their eigenvalues are
     those of decomposing every dataset.
     """
-    n = dev.shape[1]
-    mu = dev.mean(axis=1)
-    dev -= mu[:, None, :]
-    scatter_trace = np.einsum("kji,kji->i", dev, dev)
+    n = y.shape[1]
+    mu = y.mean(axis=1)
+    y -= mu[:, None, :]
+    scatter_trace = np.einsum("kji,kji->i", y, y)
     cand = ((mu ** 2).sum(axis=0) <= spec.R) \
         & (scatter_trace >= (1.0 - _TRACE_SLACK) * n * float(spec.eps1.sum())) \
         & (scatter_trace <= (1.0 + _TRACE_SLACK) * n * float(spec.eps2.sum()))
-    d = dev[:, :, cand]
+    d = y[:, :, cand]
     # entry (k, l) sums d[k, j] * d[l, j] over the points j in order
     cov = (d[:, None] * d[None, :]).sum(axis=2).transpose(2, 0, 1) / n
     lam = np.linalg.eigvalsh(cov)
@@ -137,10 +137,10 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
 
     The datasets are drawn in chunks of ``_CHUNK`` as (chunk, n, m) arrays
     from a stream seeded by (seed, chunk index), then copied into one
-    coordinate-major (m, n, chunk) buffer allocated once per call.  Membership
-    is decided there by :func:`_members`: a mean and scatter-trace prefilter
-    that is exact (it never rejects a member), then ``eigvalsh`` on the
-    surviving datasets only.
+    coordinate-major (m, n, chunk) buffer allocated once per call (a second
+    one holds the mixture component's datasets).  Membership is decided there
+    by :func:`_members`: a mean and scatter-trace prefilter that is exact (it
+    never rejects a member), then ``eigvalsh`` on the surviving datasets only.
 
     Limited to n * m <= 12 and at least 10^4 samples.
     """
@@ -162,6 +162,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     lam_grid = np.geomspace(0.8 * float(spec.eps1.min()),
                             1.25 * float(spec.eps2.max()), _SCALE_GRID_SIZE)
     buf = np.empty((m, n, min(_CHUNK, samples)))
+    mix = np.empty_like(buf)
 
     sum_w = 0.0
     sum_w2 = 0.0
@@ -170,21 +171,22 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     for chunk_index, start in enumerate(range(0, samples, _CHUNK)):
         cn = min(_CHUNK, samples - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
-        dev = buf[:, :, :cn]
+        y = buf[:, :, :cn]
         if uniform_only:
-            np.copyto(dev, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
+            np.copyto(y, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
         else:
             # both components are always drawn, so the proposal choice never
             # shifts the random stream
             use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
             scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
-            np.copyto(dev, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
+            np.copyto(y, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
             mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
-            # mu_star + scale * z, formed in the buffer's layout
-            y_mix = rng.standard_normal((cn, n, m)).T * scale
+            # mu_star + scale * z, formed in the buffers' layout
+            y_mix = mix[:, :, :cn]
+            np.multiply(rng.standard_normal((cn, n, m)).T, scale, out=y_mix)
             y_mix += mu_star.T
-            np.copyto(dev, y_mix, where=use_mix)
-        mu_hat, lam = _members(dev, spec)
+            np.copyto(y, y_mix, where=use_mix)
+        mu_hat, lam = _members(y, spec)
         log_f = -(m * n / 2.0) * _LOG_2PI_E - (n / 2.0) * np.log(lam).sum(axis=1)
         if uniform_only:
             log_q = -log_vcube
@@ -196,8 +198,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
         w = np.exp(log_f - log_q)
         sum_w += float(w.sum())
         sum_w2 += float((w * w).sum())
-        if w.size:
-            max_w = max(max_w, float(w.max()))
+        max_w = max(max_w, float(w.max(initial=0.0)))
         accepted += w.size
 
     if accepted == 0:
