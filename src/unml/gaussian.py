@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DomainViolationError,
@@ -35,6 +34,7 @@ from .stats import (
     GaussianMle,
     check_domain,
     compute_mle,
+    log_gamma,
     log_multivariate_gamma,
 )
 
@@ -64,7 +64,7 @@ def log_domain_constant(spec: DomainSpec) -> float:
     m = spec.m
     return (m + 1) * math.log(2.0) + m / 2.0 * math.log(spec.R) \
         - m / 2.0 * float(np.log(spec.eps1).sum()) \
-        - (m + 1) * math.log(m) - float(gammaln(m / 2.0))
+        - (m + 1) * math.log(m) - log_gamma(m / 2.0)
 
 
 def log_norm_bound(n, spec: DomainSpec):
@@ -140,7 +140,7 @@ def exact_log_norm_1d(n: int, spec: DomainSpec) -> float:
     log_diff = -0.5 * math.log(eps1) + math.log1p(-math.sqrt(eps1 / eps2))
     return math.log(4.0) + 0.5 * math.log(spec.R) + log_diff \
         + n / 2.0 * (math.log(n) - math.log(2.0) - 1.0) \
-        - 0.5 * math.log(math.pi) - float(gammaln((n - 1) / 2.0))
+        - 0.5 * math.log(math.pi) - log_gamma((n - 1) / 2.0)
 
 
 def log_suffstat_density(n: int, eigenvalues) -> float:

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainViolationError, InvalidInputError
+from .stats import log_gamma
 
 _EXPM1_SWITCH = 30.0
 
@@ -83,7 +83,7 @@ def genlog_log_norm(n: int, spec: GenLogisticSpec) -> float:
     log_ratio = math.log1p((spec.theta_max - spec.theta_min) / spec.theta_min)
     with np.errstate(divide="ignore"):
         log_log_ratio = float(np.log(log_ratio))
-    return n * math.log(n) - n - float(gammaln(n)) + log_log_ratio
+    return n * math.log(n) - n - log_gamma(n) + log_log_ratio
 
 
 def genlog_codelength(x, spec: GenLogisticSpec) -> float:
@@ -128,6 +128,10 @@ def genlog_sample(count: int, theta: float, seed: int) -> np.ndarray:
     """
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
+    return genlog_inverse_cdf(_lattice_uniforms(count, seed), theta)
+
+
+def _lattice_uniforms(count: int, seed: int) -> np.ndarray:
+    # count uniforms on the open 2^53 lattice of (0, 1), from default_rng(seed)
     rng = np.random.default_rng(int(seed))
-    u = rng.integers(1, 2 ** 53, size=count) / float(2 ** 53)
-    return genlog_inverse_cdf(u, theta)
+    return rng.integers(1, 2 ** 53, size=count) / float(2 ** 53)

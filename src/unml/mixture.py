@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import (
     InfeasibleKError,
@@ -29,7 +28,15 @@ from .errors import (
     SingularCovarianceError,
 )
 from .gaussian import _LOG_2PI_E, log_norm_bound
-from .stats import Dataset, DomainSpec, _sum_squares, compute_mle, segment_moments
+from .stats import (
+    Dataset,
+    DomainSpec,
+    _sum_squares,
+    compute_mle,
+    log_gamma,
+    segment_moments,
+    xlogy,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CONVERGENCE_TOL = 1e-9
@@ -202,16 +209,18 @@ def _mixture_norm_table(k_max: int, n: int, spec: DomainSpec) -> np.ndarray:
 
     Each entry is one log-sum-exp shifted by its own maximum, as in the
     direct recurrence; the entries are evaluated a block of n values at a
-    time (at most _TABLE_BLOCK elements, 256 KB, per block).  A float64 convolution of the
-    exponentiated rows would be faster but is not exact: one scale for a whole
-    row cannot cover its dynamic range, which grows with m and k (C_8(300) is
-    off by 2e-4 relative at m = 22 and inner entries by far more).  Runs in
+    time (at most _TABLE_BLOCK elements, 256 KB, per block).  Each block is
+    a contiguous prefix of one buffer allocated per call, so the blocks do
+    not each map fresh pages.  A float64 convolution of the exponentiated
+    rows would be faster but is not exact: one scale for a whole row cannot
+    cover its dynamic range, which grows with m and k (C_8(300) is off by
+    2e-4 relative at m = 22 and inner entries by far more).  Runs in
     O(k n^2).
     """
     if k_max < 1 or n < 0:
         raise InvalidInputError(f"need k >= 1 and n >= 0, got k={k_max}, n={n}")
     sizes = np.arange(n + 1)
-    a = xlogy(sizes, sizes) - gammaln(sizes + 1)
+    a = xlogy(sizes, sizes) - log_gamma(sizes + 1)
     log_t = _log_cluster_terms(n, spec)
     table = np.empty((k_max, n + 1))
     table[0] = a + log_t
@@ -219,10 +228,12 @@ def _mixture_norm_table(k_max: int, n: int, spec: DomainSpec) -> np.ndarray:
     padded = np.concatenate([table[0, ::-1], np.full(n, -np.inf)])
     toeplitz = np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]
     rows = max(1, _TABLE_BLOCK // (n + 1))
+    buf = np.empty(min(rows, n + 1) * (n + 1))
     for k in range(1, k_max):
         for lo in range(0, n + 1, rows):
             hi = min(lo + rows, n + 1)
-            block = table[k - 1, :hi] + toeplitz[lo:hi, :hi]
+            block = buf[:(hi - lo) * hi].reshape(hi - lo, hi)
+            np.add(table[k - 1, :hi], toeplitz[lo:hi, :hi], out=block)
             shift = block.max(axis=1)
             shift[shift == -np.inf] = 0.0
             block -= shift[:, None]

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InsufficientDataError, InvalidInputError
 
@@ -89,6 +88,31 @@ class GaussianMle:
         return self.mean.shape[0]
 
 
+def log_gamma(x):
+    """log |Gamma(x)|, elementwise for an array ``x``, a float for a scalar.
+
+    Each value is :func:`math.lgamma` (within 1e-14 relative of scipy's
+    ``gammaln`` on the integers and half-integers up to 1e6), evaluated once
+    per distinct argument: a sweep of :func:`log_multivariate_gamma` over
+    sizes s asks for the half-integers (s - j)/2, j = 1..m, and its m
+    shifted copies share most of their values.  Like ``math.lgamma``, raises
+    ValueError at the poles 0, -1, -2, ...
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return math.lgamma(float(arr))
+    distinct, inverse = np.unique(arr, return_inverse=True)
+    values = np.fromiter(map(math.lgamma, distinct.tolist()), float, distinct.size)
+    return values[inverse].reshape(arr.shape)
+
+
+def xlogy(x, y):
+    """x log y elementwise, with 0 wherever x == 0, as
+    ``scipy.special.xlogy`` gives for every y but NaN."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(np.where(x == 0, 1.0, y))
+
+
 def log_multivariate_gamma(m: int, a):
     r"""log of the multivariate gamma function Gamma_m(a).
 
@@ -97,9 +121,9 @@ def log_multivariate_gamma(m: int, a):
         log Gamma_m(a) = (m(m-1)/4) log pi + sum_{j=1}^{m} log Gamma(a + (1-j)/2),
 
     which reduces to the scalar log-gamma for m = 1.  Accepts a scalar or an
-    array ``a`` (applied elementwise).  Scalar log-gamma is delegated to
-    :func:`scipy.special.gammaln` (Cephes implementation, relative accuracy
-    well below 1e-12 on this range).
+    array ``a`` (applied elementwise).  The log-gamma terms come from
+    :func:`log_gamma`, once per distinct argument, so a sweep over
+    consecutive sizes costs about one ``math.lgamma`` call per size.
 
     Raises
     ------
@@ -115,7 +139,7 @@ def log_multivariate_gamma(m: int, a):
             f"multivariate gamma undefined: need a > (m-1)/2 = {(m - 1) / 2.0}, got {a}")
     js = np.arange(1, m + 1)
     res = m * (m - 1) / 4.0 * math.log(math.pi) \
-        + gammaln(a_arr[..., None] + (1.0 - js) / 2.0).sum(axis=-1)
+        + log_gamma(a_arr[..., None] + (1.0 - js) / 2.0).sum(axis=-1)
     return float(res) if np.isscalar(a) or a_arr.ndim == 0 else res
 
 

@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr, xlogy
 
 from .errors import DegenerateEstimateError, InvalidInputError
 from .gaussian import _LOG_2PI_E
-from .genlogistic import genlog_sample, _log1p_exp_neg
+from .genlogistic import _lattice_uniforms, _log1p_exp_neg, genlog_inverse_cdf
 from .mixture import _child_seed, _log_cluster_terms
-from .stats import DomainSpec
+from .stats import DomainSpec, log_gamma, xlogy
 
 _CHUNK = 16384          # fixed chunk size; chunk index -> seed mapping is part
                         # of the algorithm, so results do not depend on how
@@ -68,6 +67,8 @@ def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     leaves a closed form in the sufficient statistics (mean and total
     scatter), with normal-CDF factors for the box truncation.
     """
+    from scipy.special import logsumexp, ndtr  # slow to import; only the oracles need it
+
     s = np.sqrt(lam_grid / n)
     hi = (mu_half - mu_hat[:, :, None]) / s
     lo = (-mu_half - mu_hat[:, :, None]) / s
@@ -234,7 +235,7 @@ def quad_log_norm_1d(n: int, spec: DomainSpec) -> float:
     mu_integral, _ = integrate.quad(lambda t: 1.0, -math.sqrt(spec.R),
                                     math.sqrt(spec.R))
     log_coeff = n / 2.0 * (math.log(n) - math.log(2.0) - 1.0) \
-        - 0.5 * math.log(math.pi) - float(gammaln((n - 1) / 2.0))
+        - 0.5 * math.log(math.pi) - log_gamma((n - 1) / 2.0)
     with np.errstate(divide="ignore"):
         return float(np.log(lam_integral) + np.log(mu_integral) + log_coeff)
 
@@ -252,12 +253,14 @@ def mixture_norm_bruteforce(k: int, n: int, spec: DomainSpec) -> float:
     if n_comps > 1_000_000:
         raise InvalidInputError(
             f"{n_comps} compositions exceed the enumeration budget of 10^6")
+    from scipy.special import logsumexp  # slow to import; only the oracles need it
+
     log_t = _log_cluster_terms(n, spec)
     terms = np.empty(n_comps)
     # stars and bars: k - 1 cuts among n + k - 1 slots give k ordered parts
     for i, cuts in enumerate(itertools.combinations(range(n + k - 1), k - 1)):
         parts = np.diff((-1, *cuts, n + k - 1)) - 1
-        lw = float(gammaln(n + 1)) - sum(float(gammaln(h + 1)) for h in parts)
+        lw = log_gamma(n + 1) - sum(log_gamma(h + 1) for h in parts)
         if n > 0:
             lw += sum(float(xlogy(h, h / n)) for h in parts)
         lw += sum(float(log_t[h]) for h in parts)
@@ -298,10 +301,11 @@ def ks_gamma_check(n: int, theta: float, replications: int, seed: int,
     if not (math.isfinite(theta) and theta > 0):
         raise InvalidInputError(f"theta must be positive, got {theta}")
     scale = 1.0 / theta if null_scale is None else float(null_scale)
-    stats_arr = np.empty(replications)
+    u = np.empty((replications, n))
     for r in range(replications):
-        x = genlog_sample(n, theta, _child_seed(seed, r))
-        stats_arr[r] = float(_log1p_exp_neg(x).sum())
+        u[r] = _lattice_uniforms(n, _child_seed(seed, r))
+    # row r is genlog_sample(n, theta, _child_seed(seed, r)), transformed at once
+    stats_arr = _log1p_exp_neg(genlog_inverse_cdf(u, theta)).sum(axis=1)
     from scipy import stats as spstats  # slow to import; only this check needs it
 
     res = spstats.kstest(stats_arr, "gamma", args=(n, 0.0, scale))

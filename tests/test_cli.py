@@ -241,12 +241,33 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_import_skips_slow_scipy_modules():
-    code = ("import sys, unml.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+def _run_python(code):
     src = str(Path(unml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    code = ("import sys, unml.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == "[]"
+
+
+def test_select_scale_genlog_runs_load_no_scipy(tmp_path):
+    """The whole of a select, scale and genlog run stays on numpy: scipy
+    is only for verify and the oracles, not hidden inside an operation."""
+    csv = tmp_path / "blobs.csv"
+    write_blobs(csv)
+    runs = [["select", str(csv), "--k-max", "3", "--restarts", "2",
+             "--output", str(tmp_path / "select.json")],
+            ["scale", str(csv), "--scaled-output", str(tmp_path / "scaled.csv"),
+             "--output", str(tmp_path / "scale.json")],
+            ["genlog", str(csv), "--output", str(tmp_path / "genlog.json")]]
+    code = ("import sys; from unml.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == "[0, 0, 0] []"
+    assert json.loads((tmp_path / "select.json").read_text())["selected_k"] == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from unml import (
     Dataset,
@@ -16,6 +17,7 @@ from unml import (
     save_csv,
     scale_dataset,
 )
+from unml.stats import log_gamma, xlogy
 
 
 def two_pass_mle(rows):
@@ -267,3 +269,43 @@ class TestCsvRoundTrip:
         path.write_text("1.0,oops\n")
         with pytest.raises(InvalidInputError):
             load_csv(path)
+
+
+class TestLogGamma:
+    def test_matches_scipy_on_integers_and_half_integers(self):
+        # every integer and half-integer in [0.5, 1e6], plus m/2 for m <= 12
+        x = np.concatenate([np.arange(1, 2_000_001) / 2.0, np.arange(1, 13) / 2.0])
+        got = log_gamma(x)
+        want = special.gammaln(x)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_scalar_and_shape(self):
+        assert isinstance(log_gamma(3), float)
+        assert log_gamma(np.float64(5.0)) == math.lgamma(5.0)
+        # repeated arguments (the shifted copies of a multigamma sweep) keep
+        # their positions
+        x = (np.arange(3, 9)[:, None] - np.arange(1, 3)) / 2.0
+        got = log_gamma(x)
+        assert got.shape == x.shape
+        assert got.tolist() == [[math.lgamma(v) for v in row] for row in x.tolist()]
+        assert log_gamma(np.empty((0, 2))).shape == (0, 2)
+
+    def test_pole_raises(self):
+        with pytest.raises(ValueError):
+            log_gamma(np.array([1.0, 0.0]))
+
+
+class TestXlogy:
+    def test_zero_x_gives_zero(self):
+        y = np.array([0.0, 0.5, 3.0])
+        got = xlogy(np.zeros(3), y)
+        assert np.array_equal(got, special.xlogy(np.zeros(3), y))
+        assert np.array_equal(got, np.zeros(3))
+
+    def test_matches_scipy_for_positive_x(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1e4, 1000)
+        y = rng.uniform(1e-300, 1e4, 1000)
+        got = xlogy(x, y)
+        want = special.xlogy(x, y)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
