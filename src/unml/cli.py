@@ -146,8 +146,7 @@ def cmd_verify(args) -> int:
     spec = DomainSpec.uniform(args.m, R=args.r, eps1=args.eps1, eps2=args.eps2,
                               eps2_cap=args.eps2_cap if args.eps2_cap is not None
                               else _default_cap(args.m))
-    est = mc_log_norm_dataspace(args.n, spec, args.samples, args.seed,
-                                proposal=args.proposal)
+    est = mc_log_norm_dataspace(args.n, spec, args.samples, args.seed)
     bound = log_norm_bound(args.n, spec)
     ok = est.log_value + 3.0 * est.std_error_log < bound
     payload = {
@@ -157,7 +156,6 @@ def cmd_verify(args) -> int:
         "samples": est.samples,
         "accepted": est.accepted,
         "seed": est.seed,
-        "proposal": args.proposal,
         "estimate": est.log_value,
         "stderr": est.std_error_log,
         "effective_samples": est.effective_samples,
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--proposal", choices=("mixture", "uniform"), default="mixture")
     _add_domain_flags(p, with_eps1_auto=False)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -78,10 +78,23 @@ def log_norm_bound(n, spec: DomainSpec):
     if np.any(n_arr < m + 1):
         raise InsufficientDataError(
             f"normalization bound needs n >= m + 1 = {m + 1}, got {n}")
-    val = log_domain_constant(spec) \
-        + m * n_arr / 2.0 * (np.log(n_arr) - math.log(2.0) - 1.0) \
-        - log_multivariate_gamma(m, (n_arr - 1) / 2.0)
+    val = log_domain_constant(spec) + _log_size_factor(m, n_arr)
     return float(val) if np.isscalar(n) or n_arr.ndim == 0 else val
+
+
+def _log_size_factor(m: int, n):
+    """f(m, n) = (mn/2)(log n - log 2 - 1) - log Gamma_m((n-1)/2), for a scalar
+    or an array ``n``: log C_u = log B + f(m, n)."""
+    n = np.asarray(n, dtype=float)
+    return m * n / 2.0 * (np.log(n) - math.log(2.0) - 1.0) \
+        - log_multivariate_gamma(m, (n - 1) / 2.0)
+
+
+def _neg_log_max_likelihood(h, eigenvalues):
+    """(mh/2) log(2 pi e) + (h/2) sum_j log lam_j for h points whose MLE has
+    ``eigenvalues`` (..., m); ``h`` broadcasts against the leading axes."""
+    m = eigenvalues.shape[-1]
+    return m * h / 2.0 * _LOG_2PI_E + h / 2.0 * np.log(eigenvalues).sum(axis=-1)
 
 
 def gaussian_data_term(mle: GaussianMle, n: int) -> float:
@@ -93,8 +106,7 @@ def gaussian_data_term(mle: GaussianMle, n: int) -> float:
     if np.any(mle.eigenvalues <= 0.0):
         raise SingularCovarianceError(
             "covariance is singular: a zero eigenvalue makes the data term diverge")
-    m = mle.m
-    return m * n / 2.0 * _LOG_2PI_E + n / 2.0 * float(np.log(mle.eigenvalues).sum())
+    return float(_neg_log_max_likelihood(n, mle.eigenvalues))
 
 
 def gaussian_codelength(data: Dataset, spec: DomainSpec) -> GaussianCodeLength:
@@ -139,8 +151,7 @@ def exact_log_norm_1d(n: int, spec: DomainSpec) -> float:
     # eps1^(-1/2) - eps2^(-1/2) = eps1^(-1/2) * (1 - sqrt(eps1/eps2)), kept stable
     log_diff = -0.5 * math.log(eps1) + math.log1p(-math.sqrt(eps1 / eps2))
     return math.log(4.0) + 0.5 * math.log(spec.R) + log_diff \
-        + n / 2.0 * (math.log(n) - math.log(2.0) - 1.0) \
-        - 0.5 * math.log(math.pi) - log_gamma((n - 1) / 2.0)
+        - 0.5 * math.log(math.pi) + float(_log_size_factor(1, n))
 
 
 def log_suffstat_density(n: int, eigenvalues) -> float:
@@ -160,7 +171,5 @@ def log_suffstat_density(n: int, eigenvalues) -> float:
         raise SingularCovarianceError("eigenvalues must be strictly positive")
     if n < m + 1:
         raise InsufficientDataError(f"need n >= m + 1 = {m + 1}, got {n}")
-    return m * n / 2.0 * (math.log(n) - math.log(2.0) - 1.0) \
-        - m / 2.0 * math.log(math.pi) \
-        - log_multivariate_gamma(m, (n - 1) / 2.0) \
+    return float(_log_size_factor(m, n)) - m / 2.0 * math.log(math.pi) \
         - (m / 2.0 + 1.0) * float(np.log(lam).sum())

@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
     SingularCovarianceError,
 )
-from .gaussian import _LOG_2PI_E, log_norm_bound
+from .gaussian import _neg_log_max_likelihood, log_norm_bound
 from .stats import (
     Dataset,
     DomainSpec,
@@ -133,10 +133,8 @@ class ClusterFit:
 def _data_term(counts: np.ndarray, eigenvalues: np.ndarray, n: int) -> np.ndarray:
     """The complete-data term from cluster sizes (..., k) and eigenvalues
     (..., k, m), summed over the clusters of each leading index."""
-    m = eigenvalues.shape[-1]
     h = counts.astype(float)
-    terms = -xlogy(h, h / n) + (m * h / 2.0 * _LOG_2PI_E
-                                + h / 2.0 * np.log(eigenvalues).sum(axis=-1))
+    terms = -xlogy(h, h / n) + _neg_log_max_likelihood(h, eigenvalues)
     return terms.sum(axis=-1)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateError, InvalidInputError
-from .gaussian import _LOG_2PI_E
+from .gaussian import _log_size_factor, _neg_log_max_likelihood
 from .genlogistic import _lattice_uniforms, _log1p_exp_neg, genlog_inverse_cdf
 from .mixture import _child_seed, _log_cluster_terms
 from .stats import DomainSpec, log_gamma, xlogy
@@ -120,8 +120,7 @@ def _members(y: np.ndarray, spec: DomainSpec):
     return mu.T[cand][ok], lam[ok]
 
 
-def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
-                          proposal: str = "mixture") -> McEstimate:
+def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the log restricted normalization constant.
 
     Samples whole datasets, evaluates the maximized likelihood on those whose
@@ -130,11 +129,9 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
     sqrt(R) + sqrt(n m eps2_cap) of zero (the total scatter around the mean is
     n * trace of the covariance), which provides the enclosing cube.
 
-    ``proposal`` is ``"mixture"`` (default) or ``"uniform"``.  The mixture is
-    a defensive blend of the uniform cube with hierarchical components matched
-    to the domain's eigenvalue range; plain uniform sampling is retained as a
-    cross-check but its weights are so heavy-tailed for larger n that the
-    estimate concentrates below the truth at any affordable sample count.
+    The one proposal is a defensive blend of the uniform cube with
+    hierarchical components matched to the domain's eigenvalue range.  (Plain
+    uniform sampling concentrates below the truth for larger n.)
 
     The datasets are drawn in chunks of ``_CHUNK`` as (chunk, n, m) arrays
     from a stream seeded by (seed, chunk index), then copied into one
@@ -153,10 +150,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
             f"data-space estimate is desk-scale only: need n*m <= {_DESK_SCALE_DIMS}")
     if samples < _MIN_SAMPLES:
         raise InvalidInputError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
-    if proposal not in ("mixture", "uniform"):
-        raise InvalidInputError(f"unknown proposal {proposal!r}")
 
-    uniform_only = proposal == "uniform"
     cube_half = math.sqrt(spec.R) + math.sqrt(n * m * spec.eps2_cap)
     log_vcube = m * n * math.log(2.0 * cube_half)
     mu_half = math.sqrt(spec.R)
@@ -173,29 +167,22 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int,
         cn = min(_CHUNK, samples - start)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
         y = buf[:, :, :cn]
-        if uniform_only:
-            np.copyto(y, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
-        else:
-            # both components are always drawn, so the proposal choice never
-            # shifts the random stream
-            use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
-            scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
-            np.copyto(y, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
-            mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
-            # mu_star + scale * z, formed in the buffers' layout
-            y_mix = mix[:, :, :cn]
-            np.multiply(rng.standard_normal((cn, n, m)).T, scale, out=y_mix)
-            y_mix += mu_star.T
-            np.copyto(y, y_mix, where=use_mix)
+        # both components are drawn for every sample, so use_mix never shifts the stream
+        use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
+        scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
+        np.copyto(y, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
+        mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
+        # mu_star + scale * z, formed in the buffers' layout
+        y_mix = mix[:, :, :cn]
+        np.multiply(rng.standard_normal((cn, n, m)).T, scale, out=y_mix)
+        y_mix += mu_star.T
+        np.copyto(y, y_mix, where=use_mix)
         mu_hat, lam = _members(y, spec)
-        log_f = -(m * n / 2.0) * _LOG_2PI_E - (n / 2.0) * np.log(lam).sum(axis=1)
-        if uniform_only:
-            log_q = -log_vcube
-        else:
-            # members lie inside the cube, so the uniform component is live
-            log_q_mix = _log_proposal_mixture(mu_hat, lam.sum(axis=1), n, m, mu_half, lam_grid)
-            log_q = np.logaddexp(math.log(_DEFENSIVE_WEIGHT) - log_vcube,
-                                 math.log(1.0 - _DEFENSIVE_WEIGHT) + log_q_mix)
+        log_f = -_neg_log_max_likelihood(n, lam)
+        # members lie inside the cube, so the uniform component is live
+        log_q_mix = _log_proposal_mixture(mu_hat, lam.sum(axis=1), n, m, mu_half, lam_grid)
+        log_q = np.logaddexp(math.log(_DEFENSIVE_WEIGHT) - log_vcube,
+                             math.log(1.0 - _DEFENSIVE_WEIGHT) + log_q_mix)
         w = np.exp(log_f - log_q)
         sum_w += float(w.sum())
         sum_w2 += float((w * w).sum())
@@ -234,8 +221,7 @@ def quad_log_norm_1d(n: int, spec: DomainSpec) -> float:
                                      epsabs=1e-13, epsrel=1e-13, limit=200)
     mu_integral, _ = integrate.quad(lambda t: 1.0, -math.sqrt(spec.R),
                                     math.sqrt(spec.R))
-    log_coeff = n / 2.0 * (math.log(n) - math.log(2.0) - 1.0) \
-        - 0.5 * math.log(math.pi) - log_gamma((n - 1) / 2.0)
+    log_coeff = _log_size_factor(1, n) - 0.5 * math.log(math.pi)
     with np.errstate(divide="ignore"):
         return float(np.log(lam_integral) + np.log(mu_integral) + log_coeff)
 

@@ -100,6 +100,24 @@ class TestLogNormBound:
             spec = DomainSpec.uniform(m)
             assert math.isfinite(log_norm_bound(10 ** 6, spec))
 
+    def test_spec_enters_only_through_domain_constant(self):
+        # log C_u = log B(spec) + f(m, n): subtracting log B leaves the same
+        # size factor for every R, eps1 and eps2, per-coordinate bounds included
+        for m in (1, 2, 3, 4):
+            ns = np.arange(m + 1, 10 ** 4 + 1)
+            specs = [
+                DomainSpec.uniform(m),
+                DomainSpec.uniform(m, R=4.0, eps1=1e-6, eps2=0.05),
+                DomainSpec.uniform(m, R=0.3, eps1=0.1, eps2=0.2),
+                DomainSpec(R=2.0, eps1=np.geomspace(1e-4, 1e-2, m),
+                           eps2=np.linspace(0.1, 0.2, m), eps2_cap=0.2),
+            ]
+            sizes = [log_norm_bound(ns, spec) - log_domain_constant(spec)
+                     for spec in specs]
+            for other in sizes[1:]:
+                assert np.all(np.abs(other - sizes[0])
+                              <= 1e-12 * np.maximum(1.0, np.abs(sizes[0])))
+
 
 class TestGaussianDataTerm:
     def test_scalar_pair(self):

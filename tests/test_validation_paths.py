@@ -60,8 +60,6 @@ SPEC_2D = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
     (lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [0, 1], SPEC_1D, 0),
      InvalidInputError),
     (lambda: mc_log_norm_dataspace(2, SPEC_2D, 10_000, 0), InvalidInputError),
-    (lambda: mc_log_norm_dataspace(3, SPEC_1D, 10_000, 0, proposal="sobol"),
-     InvalidInputError),
     (lambda: quad_log_norm_1d(1, SPEC_1D), InvalidInputError),
     (lambda: mixture_norm_bruteforce(0, 4, SPEC_1D), InvalidInputError),
     (lambda: ks_gamma_check(0, 1.0, 200, 0), InvalidInputError),
