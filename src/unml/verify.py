@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,11 @@ from .mixture import _child_seed, _log_cluster_terms
 from .stats import DomainSpec, log_gamma, xlogy
 
 _CHUNK = 16384          # fixed chunk size; chunk index -> seed mapping is part
-                        # of the algorithm, so results do not depend on how
-                        # chunks might be distributed over workers
+                        # of the algorithm, and the per-chunk sums are reduced in
+                        # chunk order, so results do not depend on how many
+                        # threads run the chunks or which thread runs which
+_BLOCK = 2048           # samples per draw into a stripe's scratch, and members
+                        # per proposal-density call
 _DESK_SCALE_DIMS = 12   # cap on n * m for the data-space estimate
 _MIN_SAMPLES = 10_000
 _DEFENSIVE_WEIGHT = 0.5
@@ -72,13 +76,50 @@ def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     s = np.sqrt(lam_grid / n)
     hi = (mu_half - mu_hat[:, :, None]) / s
     lo = (-mu_half - mu_hat[:, :, None]) / s
+    # (members, m, grid) and (members, grid) arrays are updated in place; each
+    # step is the elementwise operation of the plain expression, in its order
+    ndtr(hi, out=hi)
+    hi -= ndtr(lo, out=lo)
     with np.errstate(divide="ignore"):
-        log_dphi = np.log(ndtr(hi) - ndtr(lo)).sum(axis=1)
-    log_comp = (-(m * n / 2.0) * np.log(2.0 * math.pi * lam_grid)[None, :]
-                - tr_cov[:, None] * (n / (2.0 * lam_grid))[None, :]
-                + (m / 2.0) * np.log(2.0 * math.pi * lam_grid / n)[None, :]
-                - m * math.log(2.0 * mu_half) + log_dphi)
+        log_dphi = np.log(hi, out=hi).sum(axis=1)
+    del hi, lo      # freed before logsumexp's temporaries are made
+    log_comp = np.multiply(tr_cov[:, None], (n / (2.0 * lam_grid))[None, :])
+    np.subtract((-(m * n / 2.0) * np.log(2.0 * math.pi * lam_grid))[None, :], log_comp,
+                out=log_comp)
+    log_comp += (m / 2.0) * np.log(2.0 * math.pi * lam_grid / n)[None, :]
+    log_comp -= m * math.log(2.0 * mu_half)
+    log_comp += log_dphi
     return logsumexp(log_comp, axis=1) - math.log(lam_grid.size)
+
+
+def _draw_chunk(rng, y, scratch, cube_half, mu_half, lam_grid):
+    """Fill ``y`` (m, n, cn) with one chunk of proposal datasets.
+
+    Each sample is a dataset from the uniform cube or, with probability
+    1 - ``_DEFENSIVE_WEIGHT``, from a hierarchical component: a center
+    uniform in the mean box plus isotropic normals at a grid scale.  The
+    draws pass through ``scratch`` (block, n, m) ``_BLOCK`` samples at a
+    time; consecutive blocks consume the stream exactly as one (cn, n, m)
+    draw would.
+    """
+    m, n, cn = y.shape
+    blocks = [slice(b, min(b + _BLOCK, cn)) for b in range(0, cn, _BLOCK)]
+    # both components are drawn for every sample, so use_mix never shifts the stream
+    use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
+    scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
+    for b in blocks:
+        # low + (high - low) * u, as rng.uniform(-cube_half, cube_half) forms it
+        d = rng.random(out=scratch[:b.stop - b.start])
+        d *= 2.0 * cube_half
+        d += -cube_half
+        np.copyto(y[:, :, b], d.T)
+    mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
+    for b in blocks:
+        # mu_star + scale * z
+        d = rng.standard_normal(out=scratch[:b.stop - b.start])
+        d *= scale[b, None, None]
+        d += mu_star[b]
+        np.copyto(y[:, :, b], d.T, where=use_mix[b])
 
 
 def _members(y: np.ndarray, spec: DomainSpec):
@@ -113,11 +154,23 @@ def _members(y: np.ndarray, spec: DomainSpec):
         & (scatter_trace >= (1.0 - _TRACE_SLACK) * n * float(spec.eps1.sum())) \
         & (scatter_trace <= (1.0 + _TRACE_SLACK) * n * float(spec.eps2.sum()))
     d = y[:, :, cand]
-    # entry (k, l) sums d[k, j] * d[l, j] over the points j in order
-    cov = (d[:, None] * d[None, :]).sum(axis=2).transpose(2, 0, 1) / n
+    # entry (k, l) sums d[k, j] * d[l, j] over the points j in order, one
+    # (m, m, candidates) product at a time
+    cov = d[:, None, 0] * d[None, :, 0]
+    for j in range(1, n):
+        cov += d[:, None, j] * d[None, :, j]
+    cov = cov.transpose(2, 0, 1) / n
     lam = np.linalg.eigvalsh(cov)
     ok = (lam >= spec.eps1).all(axis=1) & (lam <= spec.eps2).all(axis=1)
     return mu.T[cand][ok], lam[ok]
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> McEstimate:
@@ -133,12 +186,22 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     hierarchical components matched to the domain's eigenvalue range.  (Plain
     uniform sampling concentrates below the truth for larger n.)
 
-    The datasets are drawn in chunks of ``_CHUNK`` as (chunk, n, m) arrays
-    from a stream seeded by (seed, chunk index), then copied into one
-    coordinate-major (m, n, chunk) buffer allocated once per call (a second
-    one holds the mixture component's datasets).  Membership is decided there
-    by :func:`_members`: a mean and scatter-trace prefilter that is exact (it
+    The datasets are drawn in chunks of ``_CHUNK`` from a stream seeded by
+    (seed, chunk index).  A chunk's draws go through a (block, n, m) scratch,
+    ``_BLOCK`` samples at a time, into a coordinate-major (m, n, chunk)
+    buffer: first the cube's datasets, then the mixture component's, copied
+    over the samples that use it.  Consecutive blocks consume the stream as
+    one full-chunk draw would.  Membership is decided in the buffer by
+    :func:`_members`: a mean and scatter-trace prefilter that is exact (it
     never rejects a member), then ``eigvalsh`` on the surviving datasets only.
+
+    The chunks run on W = min(CPUs this process may use, chunk count)
+    threads; most of a chunk's time is in numpy, scipy and LAPACK calls that
+    release the interpreter lock.  Stripe w takes chunks w, w + W, ... with a
+    buffer and scratch of its own; stripe 0 runs on the calling thread, so
+    W = 1 starts no thread.  Each chunk returns its sum w, sum w^2, max w and
+    member count, and these are reduced in chunk order, so the estimate is
+    bit-identical for every W.
 
     Limited to n * m <= 12 and at least 10^4 samples.
     """
@@ -156,38 +219,56 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     mu_half = math.sqrt(spec.R)
     lam_grid = np.geomspace(0.8 * float(spec.eps1.min()),
                             1.25 * float(spec.eps2.max()), _SCALE_GRID_SIZE)
-    buf = np.empty((m, n, min(_CHUNK, samples)))
-    mix = np.empty_like(buf)
+    starts = range(0, samples, _CHUNK)
+    workers = min(_cpu_count(), len(starts))
+    partials = [None] * len(starts)
+
+    def stripe(first):
+        buf = np.empty((m, n, min(_CHUNK, samples)))
+        scratch = np.empty((min(_BLOCK, samples), n, m))
+        for chunk_index in range(first, len(starts), workers):
+            cn = min(_CHUNK, samples - starts[chunk_index])
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
+            y = buf[:, :, :cn]
+            _draw_chunk(rng, y, scratch, cube_half, mu_half, lam_grid)
+            mu_hat, lam = _members(y, spec)
+            log_f = -_neg_log_max_likelihood(n, lam)
+            # a row's density depends on that row only, so blocks of members
+            # bound the temporaries without changing a value
+            tr_cov = lam.sum(axis=1)
+            log_q_mix = np.empty(len(tr_cov))
+            for b in range(0, len(tr_cov), _BLOCK):
+                rows = slice(b, b + _BLOCK)
+                log_q_mix[rows] = _log_proposal_mixture(mu_hat[rows], tr_cov[rows], n, m,
+                                                        mu_half, lam_grid)
+            # members lie inside the cube, so the uniform component is live
+            log_q = np.logaddexp(math.log(_DEFENSIVE_WEIGHT) - log_vcube,
+                                 math.log(1.0 - _DEFENSIVE_WEIGHT) + log_q_mix)
+            w = np.exp(log_f - log_q)
+            partials[chunk_index] = (float(w.sum()), float((w * w).sum()),
+                                     float(w.max(initial=0.0)), w.size)
+
+    if workers == 1:
+        stripe(0)
+    else:
+        # imports logging, which costs CLI start-up; only this oracle needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(stripe, first) for first in range(1, workers)]
+            stripe(0)
+            for future in others:
+                future.result()
 
     sum_w = 0.0
     sum_w2 = 0.0
     max_w = 0.0
     accepted = 0
-    for chunk_index, start in enumerate(range(0, samples, _CHUNK)):
-        cn = min(_CHUNK, samples - start)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
-        y = buf[:, :, :cn]
-        # both components are drawn for every sample, so use_mix never shifts the stream
-        use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
-        scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
-        np.copyto(y, rng.uniform(-cube_half, cube_half, (cn, n, m)).T)
-        mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
-        # mu_star + scale * z, formed in the buffers' layout
-        y_mix = mix[:, :, :cn]
-        np.multiply(rng.standard_normal((cn, n, m)).T, scale, out=y_mix)
-        y_mix += mu_star.T
-        np.copyto(y, y_mix, where=use_mix)
-        mu_hat, lam = _members(y, spec)
-        log_f = -_neg_log_max_likelihood(n, lam)
-        # members lie inside the cube, so the uniform component is live
-        log_q_mix = _log_proposal_mixture(mu_hat, lam.sum(axis=1), n, m, mu_half, lam_grid)
-        log_q = np.logaddexp(math.log(_DEFENSIVE_WEIGHT) - log_vcube,
-                             math.log(1.0 - _DEFENSIVE_WEIGHT) + log_q_mix)
-        w = np.exp(log_f - log_q)
-        sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
-        max_w = max(max_w, float(w.max(initial=0.0)))
-        accepted += w.size
+    for chunk_sum, chunk_sum2, chunk_max, chunk_accepted in partials:
+        sum_w += chunk_sum
+        sum_w2 += chunk_sum2
+        max_w = max(max_w, chunk_max)
+        accepted += chunk_accepted
 
     if accepted == 0:
         raise DegenerateEstimateError(

@@ -251,8 +251,11 @@ def _run_python(code):
 
 
 def test_cli_import_skips_slow_scipy_modules():
+    # concurrent.futures pulls in logging; only the Monte Carlo oracle's
+    # thread pool needs it
     code = ("import sys, unml.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     assert _run_python(code) == "[]"
 
 

@@ -38,34 +38,55 @@ SPEC_2D = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
 
 
 @pytest.mark.parametrize("call, exc", [
-    (lambda: Dataset(np.zeros((2, 2, 2))), InvalidInputError),
-    (lambda: eigen_sym(np.zeros((2, 3))), InvalidInputError),
-    (lambda: choose_scale(Dataset([0.0, 1.0]), SPEC_2D), InvalidInputError),
-    (lambda: log_multivariate_gamma(0, 1.0), InvalidInputError),
-    (lambda: exact_log_norm_1d(5, SPEC_2D), InvalidInputError),
-    (lambda: complete_data_term(Dataset([0.0, 1.0]),
-                                Assignment(labels=[1, 1, 1], k=1)),
-     InvalidAssignmentError),
-    (lambda: log_mixture_norm(0, 5, SPEC_1D), InvalidInputError),
-    (lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 0, SPEC_1D, 0),
-     InvalidInputError),
-    (lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_2D, 0),
-     InvalidInputError),
-    (lambda: cluster(Dataset(np.full((10, 1), 3.0)), 1, SPEC_1D, 0),
-     SingularCovarianceError),
-    (lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_1D, 0,
-                             restarts=0), InvalidInputError),
-    (lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [], SPEC_1D, 0),
-     InvalidInputError),
-    (lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [0, 1], SPEC_1D, 0),
-     InvalidInputError),
-    (lambda: mc_log_norm_dataspace(2, SPEC_2D, 10_000, 0), InvalidInputError),
-    (lambda: quad_log_norm_1d(1, SPEC_1D), InvalidInputError),
-    (lambda: mixture_norm_bruteforce(0, 4, SPEC_1D), InvalidInputError),
-    (lambda: ks_gamma_check(0, 1.0, 200, 0), InvalidInputError),
-    (lambda: ks_gamma_check(5, -1.0, 200, 0), InvalidInputError),
-    (lambda: genlog_inverse_cdf(1.0, 1.0), InvalidInputError),
-    (lambda: genlog_sample(-1, 1.0, 0), InvalidInputError),
+    # the ids are written out, so that removing a row renames no other row
+    pytest.param(lambda: Dataset(np.zeros((2, 2, 2))), InvalidInputError,
+                 id="<lambda>-InvalidInputError0"),
+    pytest.param(lambda: eigen_sym(np.zeros((2, 3))), InvalidInputError,
+                 id="<lambda>-InvalidInputError1"),
+    pytest.param(lambda: choose_scale(Dataset([0.0, 1.0]), SPEC_2D), InvalidInputError,
+                 id="<lambda>-InvalidInputError2"),
+    pytest.param(lambda: log_multivariate_gamma(0, 1.0), InvalidInputError,
+                 id="<lambda>-InvalidInputError3"),
+    pytest.param(lambda: exact_log_norm_1d(5, SPEC_2D), InvalidInputError,
+                 id="<lambda>-InvalidInputError4"),
+    pytest.param(lambda: complete_data_term(Dataset([0.0, 1.0]),
+                                            Assignment(labels=[1, 1, 1], k=1)),
+                 InvalidAssignmentError,
+                 id="<lambda>-InvalidAssignmentError"),
+    pytest.param(lambda: log_mixture_norm(0, 5, SPEC_1D), InvalidInputError,
+                 id="<lambda>-InvalidInputError5"),
+    pytest.param(lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 0, SPEC_1D, 0),
+                 InvalidInputError,
+                 id="<lambda>-InvalidInputError6"),
+    pytest.param(lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_2D, 0),
+                 InvalidInputError,
+                 id="<lambda>-InvalidInputError7"),
+    pytest.param(lambda: cluster(Dataset(np.full((10, 1), 3.0)), 1, SPEC_1D, 0),
+                 SingularCovarianceError,
+                 id="<lambda>-SingularCovarianceError"),
+    pytest.param(lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_1D, 0,
+                                         restarts=0), InvalidInputError,
+                 id="<lambda>-InvalidInputError8"),
+    pytest.param(lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [], SPEC_1D, 0),
+                 InvalidInputError,
+                 id="<lambda>-InvalidInputError9"),
+    pytest.param(lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [0, 1], SPEC_1D, 0),
+                 InvalidInputError,
+                 id="<lambda>-InvalidInputError10"),
+    pytest.param(lambda: mc_log_norm_dataspace(2, SPEC_2D, 10_000, 0), InvalidInputError,
+                 id="<lambda>-InvalidInputError11"),
+    pytest.param(lambda: quad_log_norm_1d(1, SPEC_1D), InvalidInputError,
+                 id="<lambda>-InvalidInputError12"),
+    pytest.param(lambda: mixture_norm_bruteforce(0, 4, SPEC_1D), InvalidInputError,
+                 id="<lambda>-InvalidInputError13"),
+    pytest.param(lambda: ks_gamma_check(0, 1.0, 200, 0), InvalidInputError,
+                 id="<lambda>-InvalidInputError14"),
+    pytest.param(lambda: ks_gamma_check(5, -1.0, 200, 0), InvalidInputError,
+                 id="<lambda>-InvalidInputError15"),
+    pytest.param(lambda: genlog_inverse_cdf(1.0, 1.0), InvalidInputError,
+                 id="<lambda>-InvalidInputError16"),
+    pytest.param(lambda: genlog_sample(-1, 1.0, 0), InvalidInputError,
+                 id="<lambda>-InvalidInputError17"),
 ])
 def test_rejects_invalid_arguments(call, exc):
     with pytest.raises(exc):

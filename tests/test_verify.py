@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from unml import (
     mixture_norm_bruteforce,
     quad_log_norm_1d,
 )
+from unml import verify
 from unml.verify import _members
 
 SPEC_1D = DomainSpec.uniform(1, R=1.0, eps1=0.01, eps2=0.25)
@@ -136,19 +139,29 @@ SPEC_3D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.01, 0.02]),
                           eps2=np.array([0.1, 0.2, 0.25]), eps2_cap=0.25)
 
 
+# Monte Carlo pins: (n, spec, samples, seed, log_value, std_error, accepted).
+# The ids are written out, so that removing a row renames no other row.
+MC_PINS = [
+    # six chunks without a member and one with a single member
+    pytest.param(3, SPEC_1D_THIN, 100_000, 4, -8.2551941562476, 1.0, 1,
+                 id="3-spec0-100000-4--8.2551941562476-1.0-1"),
+    pytest.param(3, SPEC_1D, 100_000, 99, 2.0109946444410585, 0.004887992516680654, 36089,
+                 id="3-spec1-100000-99-2.0109946444410585-0.004887992516680654-36089"),
+    pytest.param(6, SPEC_2D, 100_000, 7, 5.82990627213352, 0.013576851465110331, 17321,
+                 id="6-spec2-100000-7-5.82990627213352-0.013576851465110331-17321"),
+    pytest.param(4, SPEC_3D, 100_000, 11, 5.49099721161351, 0.037590886780506094, 1691,
+                 id="4-spec3-100000-11-5.49099721161351-0.037590886780506094-1691"),
+    # per-coordinate bounds: a trace inside [sum eps1, sum eps2] is not
+    # enough, the sorted eigenvalues are checked one by one
+    pytest.param(5, SPEC_2D_SKEW, 100_000, 17, 6.136489302567973, 0.01606384524905298, 15289,
+                 id="5-spec4-100000-17-6.136489302567973-0.01606384524905298-15289"),
+]
+
+
 class TestPinnedOracles:
     """Oracle outputs recorded from the reference implementation."""
 
-    @pytest.mark.parametrize("n, spec, samples, seed, log_value, std_error, accepted", [
-        # six chunks without a member and one with a single member
-        (3, SPEC_1D_THIN, 100_000, 4, -8.2551941562476, 1.0, 1),
-        (3, SPEC_1D, 100_000, 99, 2.0109946444410585, 0.004887992516680654, 36089),
-        (6, SPEC_2D, 100_000, 7, 5.82990627213352, 0.013576851465110331, 17321),
-        (4, SPEC_3D, 100_000, 11, 5.49099721161351, 0.037590886780506094, 1691),
-        # per-coordinate bounds: a trace inside [sum eps1, sum eps2] is not
-        # enough, the sorted eigenvalues are checked one by one
-        (5, SPEC_2D_SKEW, 100_000, 17, 6.136489302567973, 0.01606384524905298, 15289),
-    ])
+    @pytest.mark.parametrize("n, spec, samples, seed, log_value, std_error, accepted", MC_PINS)
     def test_monte_carlo(self, n, spec, samples, seed, log_value, std_error, accepted):
         est = mc_log_norm_dataspace(n, spec, samples, seed)
         assert est.accepted == accepted
@@ -162,6 +175,64 @@ class TestPinnedOracles:
     ])
     def test_bruteforce(self, k, n, value):
         assert mixture_norm_bruteforce(k, n, SPEC_2D) == pytest.approx(value, rel=1e-12)
+
+
+class _PoolSpy(ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records each pool's size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+def _estimates_by_thread_count(monkeypatch, n, spec, samples, seed):
+    """The oracle's estimate with its CPU count set to 1, 2 and 3, and the
+    size of the thread pool each call started (0 for none)."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _PoolSpy)
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, to expose a lost update
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+            _PoolSpy.sizes = []
+            est = mc_log_norm_dataspace(n, spec, samples, seed)
+            out[cpus] = (repr(est), sum(_PoolSpy.sizes))
+    finally:
+        sys.setswitchinterval(interval)
+    return out
+
+
+class TestThreadCount:
+    """The chunks run on min(CPUs, chunks) threads, the calling thread one of
+    them, and the estimate is repr-identical for every thread count."""
+
+    @pytest.mark.parametrize("n, spec, samples, seed, pools", [
+        (3, SPEC_1D, 10_000, 5, (0, 0, 0)),
+        (6, SPEC_2D, 2 * 16_384, 21, (0, 1, 1)),
+        (4, SPEC_3D, 3 * 16_384 + 5, 23, (0, 1, 2)),
+    ], ids=["one-chunk", "two-full-chunks", "short-last-chunk"])
+    def test_chunk_layouts(self, monkeypatch, n, spec, samples, seed, pools):
+        out = _estimates_by_thread_count(monkeypatch, n, spec, samples, seed)
+        assert tuple(size for _, size in out.values()) == pools
+        assert out[1][0] == out[2][0] == out[3][0]
+
+    @pytest.mark.parametrize("n, spec, samples, seed, log_value, std_error, accepted", MC_PINS)
+    def test_pins(self, monkeypatch, n, spec, samples, seed, log_value, std_error, accepted):
+        out = _estimates_by_thread_count(monkeypatch, n, spec, samples, seed)
+        assert out[1][0] == out[2][0] == out[3][0]
+        assert [size for _, size in out.values()] == [0, 1, 2]
+
+    def test_degenerate_with_threads(self, monkeypatch):
+        narrow = DomainSpec.uniform(1, eps1=1e-7, eps2=1.0000001e-7)
+        for cpus in (2, 3):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+            with pytest.raises(DegenerateEstimateError):
+                mc_log_norm_dataspace(3, narrow, 3 * 16_384, seed=1)
 
 
 def _boundary_datasets(spec, n, count, rng):
