@@ -51,7 +51,7 @@ from .mixture import (
     derive_eps1,
     fit_k_range,
     log_mixture_norm,
-    select_k,
+    select,
 )
 from .stats import (
     Dataset,
@@ -65,6 +65,7 @@ from .stats import (
     load_csv,
     save_csv,
     scale_dataset,
+    upper_bound_spec,
 )
 from .verify import (
     GammaKsReport,
@@ -131,5 +132,6 @@ __all__ = [
     "quad_log_norm_1d",
     "save_csv",
     "scale_dataset",
-    "select_k",
+    "select",
+    "upper_bound_spec",
 ]

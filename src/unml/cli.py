@@ -25,14 +25,14 @@ from .errors import (
 from .gaussian import exact_log_norm_1d, log_norm_bound
 from .genlogistic import GenLogisticSpec, genlog_codelength, genlog_mle
 from .mixture import best_clustering  # noqa: F401  (bench/spans.py patches it here)
-from .mixture import build_report, derive_eps1, fit_k_range
+from .mixture import select
 from .stats import (
     DomainSpec,
     choose_scale,
     load_csv,
-    max_eps2_cap,
     save_csv,
     scale_dataset,
+    upper_bound_spec,
 )
 from .verify import mc_log_norm_dataspace, quad_log_norm_1d
 
@@ -41,17 +41,6 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_BOUND_FAILED = 5
-
-
-def _default_cap(m: int) -> float:
-    return min(0.25, 0.999 * max_eps2_cap(m))
-
-
-def _upper_bound_spec(m: int, args) -> DomainSpec:
-    """The flags' domain, with eps2 standing in for eps1, which scaling ignores."""
-    cap = args.eps2_cap if args.eps2_cap is not None else _default_cap(m)
-    eps2 = min(args.eps2, cap)
-    return DomainSpec.uniform(m, R=args.r, eps1=eps2, eps2=eps2, eps2_cap=cap)
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -78,19 +67,9 @@ def _spec_dict(spec: DomainSpec) -> dict:
 
 def cmd_select(args) -> int:
     data = load_csv(args.input, header=args.header)
-    if args.k_min < 1 or args.k_max < args.k_min:
-        raise InvalidInputError(f"bad K range [{args.k_min}, {args.k_max}]")
-    bounds = _upper_bound_spec(data.m, args)
-    alpha = choose_scale(data, bounds, margin=args.margin)
-    scaled = scale_dataset(data, alpha)
-    fits, skipped = fit_k_range(scaled, range(args.k_min, args.k_max + 1), bounds,
-                                args.seed, args.restarts)
-    eps2 = float(bounds.eps2[0])
-    eps1 = args.eps1 if args.eps1 is not None else derive_eps1(fits, eps2)
-    spec = DomainSpec.uniform(data.m, R=args.r, eps1=eps1, eps2=eps2,
-                              eps2_cap=bounds.eps2_cap)
-    report = build_report(fits, skipped, spec, args.seed, args.restarts, alpha=alpha)
-
+    report = select(data, range(args.k_min, args.k_max + 1), args.seed, args.restarts,
+                    R=args.r, eps2=args.eps2, eps2_cap=args.eps2_cap, eps1=args.eps1,
+                    margin=args.margin)
     f = _unit_factor(args.unit)
     payload = {
         "command": "select",
@@ -102,7 +81,7 @@ def cmd_select(args) -> int:
         "unit": args.unit,
         "n": data.n,
         "m": data.m,
-        "spec": _spec_dict(spec),
+        "spec": _spec_dict(report.spec),
         "entries": [
             {
                 "k": e.k,
@@ -143,9 +122,9 @@ def cmd_genlog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cap = upper_bound_spec(args.m, args.r, args.eps2, args.eps2_cap).eps2_cap
     spec = DomainSpec.uniform(args.m, R=args.r, eps1=args.eps1, eps2=args.eps2,
-                              eps2_cap=args.eps2_cap if args.eps2_cap is not None
-                              else _default_cap(args.m))
+                              eps2_cap=cap)
     est = mc_log_norm_dataspace(args.n, spec, args.samples, args.seed)
     bound = log_norm_bound(args.n, spec)
     ok = est.log_value + 3.0 * est.std_error_log < bound
@@ -173,8 +152,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scale(args) -> int:
     data = load_csv(args.input, header=args.header)
-    spec = _upper_bound_spec(data.m, args)
-    alpha = choose_scale(data, spec, margin=args.margin)
+    bounds = upper_bound_spec(data.m, args.r, args.eps2, args.eps2_cap)
+    alpha = choose_scale(data, bounds, margin=args.margin)
     scaled = scale_dataset(data, alpha)
     save_csv(scaled, args.scaled_output)
     payload = {
@@ -195,20 +174,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--header", action="store_true", help="skip the first CSV line")
 
 
-def _add_domain_flags(p: argparse.ArgumentParser, with_eps1_auto: bool) -> None:
+def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=1.0,
                    help="bound on the squared mean norm (default 1)")
     p.add_argument("--eps2", type=float, default=0.25,
                    help="eigenvalue upper bound (default 0.25)")
     p.add_argument("--eps2-cap", type=float, default=None,
                    help="global eigenvalue cap (default: orthogonal-volume safe)")
-    if with_eps1_auto:
-        p.add_argument("--eps1", type=float, default=None,
-                       help="eigenvalue lower bound (default: derived from the "
-                            "smallest observed cluster eigenvalue)")
-    else:
-        p.add_argument("--eps1", type=float, default=0.01,
-                       help="eigenvalue lower bound (default 0.01)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=1.05,
                    help="slack factor applied to the scale (default 1.05)")
     p.add_argument("--unit", choices=("nats", "bits"), default="nats")
-    _add_domain_flags(p, with_eps1_auto=True)
+    _add_domain_flags(p)
+    p.add_argument("--eps1", type=float, default=None,
+                   help="eigenvalue lower bound (default: derived from the "
+                        "smallest observed cluster eigenvalue)")
     _add_common(p)
     p.set_defaults(func=cmd_select)
 
@@ -241,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--samples", type=int, default=100_000)
-    _add_domain_flags(p, with_eps1_auto=False)
+    _add_domain_flags(p)
+    p.add_argument("--eps1", type=float, default=0.01,
+                   help="eigenvalue lower bound (default 0.01)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -249,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV file, one observation per row")
     p.add_argument("--scaled-output", required=True, help="path for the scaled CSV")
     p.add_argument("--margin", type=float, default=1.05)
-    _add_domain_flags(p, with_eps1_auto=False)
+    _add_domain_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_scale)
 

@@ -17,7 +17,7 @@ selected K, do not depend on the scale at which the data is encoded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,12 @@ from .stats import (
     Dataset,
     DomainSpec,
     _sum_squares,
+    choose_scale,
     compute_mle,
     log_gamma,
+    scale_dataset,
     segment_moments,
+    upper_bound_spec,
     xlogy,
 )
 
@@ -346,7 +349,7 @@ def _donate(x: np.ndarray, labels: np.ndarray, target: int, center: np.ndarray,
     counts[target] += 1
 
 
-def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
+def cluster(data: Dataset, k: int, seed: int) -> Assignment:
     """Hard-assignment clustering of the data into exactly k clusters.
 
     Deterministic given ``(data, k, seed)``.  Initial centers come from seeded
@@ -363,23 +366,20 @@ def cluster(data: Dataset, k: int, spec: DomainSpec, seed: int) -> Assignment:
     descent.
 
     This is the one-seed case of the descent that ``best_clustering`` runs
-    for all its restarts at once; both give the same result for a seed.  The
-    domain parameters do not steer the search; the argument is validated
-    for dimension so one configuration can be threaded through a whole run.
+    for all its restarts at once; both give the same result for a seed.
     """
-    return _descend(data, k, spec, seed).assignment
+    return _descend(data, k, seed).assignment
 
 
-def _descend(data: Dataset, k: int, spec: DomainSpec, seed: int) -> ClusterFit:
+def _descend(data: Dataset, k: int, seed: int) -> ClusterFit:
     # one seed of _descend_restarts: its best round, or its error raised
-    result, = _descend_restarts(data, k, spec, [seed])
+    result, = _descend_restarts(data, k, [seed])
     if isinstance(result, SingularCovarianceError):
         raise result
     return result
 
 
-def _descend_restarts(data: Dataset, k: int, spec: DomainSpec, seeds: list
-                      ) -> list:
+def _descend_restarts(data: Dataset, k: int, seeds: list) -> list:
     """One descent per seed, run together; a ClusterFit or the
     SingularCovarianceError that ended it, per seed in order.
 
@@ -390,8 +390,6 @@ def _descend_restarts(data: Dataset, k: int, spec: DomainSpec, seeds: list
     the other seeds change its result.
     """
     n, m = data.n, data.m
-    if spec.m != m:
-        raise InvalidInputError(f"dimension mismatch: data m={m}, spec m={spec.m}")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if n < k * (m + 1):
@@ -468,8 +466,7 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
     return results
 
 
-def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
-                    restarts: int = 8) -> Assignment:
+def best_clustering(data: Dataset, k: int, seed: int, restarts: int = 8) -> Assignment:
     """Best of ``restarts`` seeded clusterings, judged by the complete-data term.
 
     Restart seeds derive deterministically from the master seed.  All
@@ -479,22 +476,21 @@ def best_clustering(data: Dataset, k: int, spec: DomainSpec, seed: int,
     descent raises SingularCovarianceError is skipped; the first restart's
     error is raised only when every restart fails.
     """
-    return _best_fit(data, k, spec, seed, restarts).assignment
+    return _best_fit(data, k, seed, restarts).assignment
 
 
-def _best_fit(data: Dataset, k: int, spec: DomainSpec, seed: int,
-              restarts: int) -> ClusterFit:
+def _best_fit(data: Dataset, k: int, seed: int, restarts: int) -> ClusterFit:
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     seeds = [_child_seed(seed, k, r) for r in range(restarts if k > 1 else 1)]
-    results = _descend_restarts(data, k, spec, seeds)  # k = 1 has a single clustering
+    results = _descend_restarts(data, k, seeds)  # k = 1 has a single clustering
     fits = [fit for fit in results if isinstance(fit, ClusterFit)]
     if not fits:
         raise results[0]
     return min(fits, key=lambda fit: fit.data_term)  # ties keep the earliest restart
 
 
-def fit_k_range(data: Dataset, k_range, spec: DomainSpec, seed: int, restarts: int = 8
+def fit_k_range(data: Dataset, k_range, seed: int, restarts: int = 8
                 ) -> tuple[list[ClusterFit], list[SkippedK]]:
     """Best-of-restarts fit for each candidate K, in increasing K.
 
@@ -512,7 +508,7 @@ def fit_k_range(data: Dataset, k_range, spec: DomainSpec, seed: int, restarts: i
             skipped.append(SkippedK(
                 k=k, reason=f"needs at least {k * min_size} observations, have {data.n}"))
             continue
-        fits.append(_best_fit(data, k, spec, seed, restarts))
+        fits.append(_best_fit(data, k, seed, restarts))
     return fits, skipped
 
 
@@ -546,15 +542,22 @@ def build_report(fits: list[ClusterFit], skipped: list[SkippedK], spec: DomainSp
                                 seed=int(seed), restarts=int(restarts), spec=spec)
 
 
-def select_k(data: Dataset, k_range, spec: DomainSpec, seed: int,
-             restarts: int = 8, alpha: float = 1.0) -> ModelSelectionReport:
-    """Select the number of clusters over an iterable of candidate K values.
+def select(data: Dataset, k_range, seed: int, restarts: int = 8, *, R: float = 1.0,
+           eps2: float = 0.25, eps2_cap: float | None = None, eps1: float | None = None,
+           margin: float = 1.05) -> ModelSelectionReport:
+    """Select the number of clusters of raw data over candidate K values.
 
-    Each feasible K gets a best-of-restarts clustering; its total is the
-    complete-data term plus the mixture normalization bound.  Infeasible K
-    values (n < k (m + 1)) are recorded as skipped.  The data is assumed to
-    be scaled into the domain already; ``alpha`` is carried into the report
-    for provenance.
+    The data is divided by ``choose_scale``'s alpha for the upper bounds of
+    ``stats.upper_bound_spec(m, R, eps2, eps2_cap)``, ``fit_k_range`` fits
+    every K on the scaled data, and ``build_report`` prices the fits on the
+    domain with ``eps1``, by default ``derive_eps1`` of the fits.  The report
+    records the alpha and the spec applied.  ``unml select`` is this function.
     """
-    fits, skipped = fit_k_range(data, k_range, spec, seed, restarts)
+    bounds = upper_bound_spec(data.m, R, eps2, eps2_cap)
+    # a given eps1 is checked before any fitting
+    spec = None if eps1 is None else replace(bounds, eps1=np.full(data.m, float(eps1)))
+    alpha = choose_scale(data, bounds, margin)
+    fits, skipped = fit_k_range(scale_dataset(data, alpha), k_range, seed, restarts)
+    if spec is None:
+        spec = replace(bounds, eps1=np.full(data.m, derive_eps1(fits, bounds.eps2[0])))
     return build_report(fits, skipped, spec, seed, restarts, alpha)

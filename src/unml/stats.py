@@ -156,6 +156,19 @@ def max_eps2_cap(m: int) -> float:
     return math.exp(-_log_orthogonal_volume(m, 1.0) / (m * (m - 1) / 2.0))
 
 
+def upper_bound_spec(m: int, R: float = 1.0, eps2: float = 0.25,
+                     eps2_cap: float | None = None) -> DomainSpec:
+    """The domain's upper bounds, the spec ``choose_scale`` reads.
+
+    ``eps2_cap`` defaults to min(0.25, 0.999 max_eps2_cap(m)) and ``eps2`` is
+    clipped to the cap.  ``eps1`` stands in as ``eps2``: scaling ignores it.
+    """
+    if eps2_cap is None:
+        eps2_cap = min(0.25, 0.999 * max_eps2_cap(m))
+    eps2 = min(eps2, eps2_cap)
+    return DomainSpec.uniform(m, R=R, eps1=eps2, eps2=eps2, eps2_cap=eps2_cap)
+
+
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
     """Parameters of the restricted domain.
@@ -373,12 +386,14 @@ def choose_scale(data: Dataset, spec: DomainSpec, margin: float = 1.0) -> float:
     """Smallest scale factor (times ``margin``) that brings the data inside the
     upper-bound constraints of the domain.
 
-    Returns ``alpha = margin * max(||mean|| / sqrt(R), max_j sqrt(lam_j / eps2[j]), 1)``,
+    Returns ``alpha = margin * max(||mean|| / sqrt(R), max_j sqrt(lam_j / eps2[j]))``,
     so dividing the data by ``alpha`` satisfies the mean-norm and eigenvalue
-    upper bounds.  The lower bounds ``eps1`` are not enforced here; they are
-    configuration, typically derived from the scaled data afterwards.  Data
-    whose covariance is identically zero is flagged with a warning and scaled
-    from the mean constraint alone.
+    upper bounds.  Data already inside is scaled up to them, so
+    ``choose_scale(c x) = c choose_scale(x)`` and the scaled data does not
+    depend on the input's units.  The lower bounds ``eps1`` are not enforced
+    here; they are configuration, typically derived from the scaled data
+    afterwards.  Data whose covariance is identically zero has no scale: it is
+    flagged with a warning and scaled from the mean constraint alone, at least 1.
     """
     margin = float(margin)
     if not (math.isfinite(margin) and margin >= 1.0):
@@ -392,7 +407,7 @@ def choose_scale(data: Dataset, spec: DomainSpec, margin: float = 1.0) -> float:
                       "scale chosen from the mean constraint only", stacklevel=2)
         return margin * max(mean_ratio, 1.0)
     eig_ratio = math.sqrt(float(np.max(mle.eigenvalues / spec.eps2)))
-    return margin * max(mean_ratio, eig_ratio, 1.0)
+    return margin * max(mean_ratio, eig_ratio)
 
 
 def load_csv(path, header: bool = False) -> Dataset:

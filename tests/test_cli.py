@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import unml
-from unml import DomainSpec, load_csv, scale_dataset, select_k
+from unml import load_csv, select
 from unml.cli import main
 
 
@@ -98,27 +98,30 @@ class TestSelect:
         assert "singular covariance" in err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("eps1_flags", [["--eps1", "1e-4"], []])
-    def test_cli_is_select_k_on_the_scaled_data(self, tmp_path, capsys, eps1_flags):
-        # the CLI adds only scaling and the eps1 rule around the library pipeline
+    @pytest.mark.parametrize("eps1", [1e-4, None])
+    def test_cli_is_library_select(self, tmp_path, capsys, eps1):
         rng = np.random.default_rng(21)
         rows = np.concatenate([rng.normal(c, 1.0, (30, 2)) for c in (0.0, 8.0, 16.0)])
         csv = tmp_path / "blobs.csv"
         np.savetxt(csv, rows, delimiter=",", fmt="%.17g")
+        eps1_flags = [] if eps1 is None else ["--eps1", repr(eps1)]
         code, out = run(["select", str(csv), "--k-max", "4", "--restarts", "3",
                          "--seed", "9", *eps1_flags], capsys)
         assert code == 0
         report = json.loads(out)
-        s = report["spec"]
-        spec = DomainSpec(R=s["R"], eps1=s["eps1"], eps2=s["eps2"], eps2_cap=s["eps2_cap"])
-        lib = select_k(scale_dataset(load_csv(csv), report["alpha"]), range(1, 5), spec,
-                       seed=9, restarts=3, alpha=report["alpha"])
-        assert lib.selected_k == report["selected_k"]
+        lib = select(load_csv(csv), range(1, 5), seed=9, restarts=3, eps1=eps1)
+        assert (lib.selected_k, lib.alpha, lib.seed, lib.restarts) == (
+            report["selected_k"], report["alpha"], report["seed"], report["restarts"])
+        assert report["spec"] == {"R": lib.spec.R, "eps1": lib.spec.eps1.tolist(),
+                                  "eps2": lib.spec.eps2.tolist(),
+                                  "eps2_cap": lib.spec.eps2_cap}
         assert [e.k for e in lib.entries] == [e["k"] for e in report["entries"]]
         for e, r in zip(lib.entries, report["entries"]):
             assert e.assignment.labels.tolist() == r["labels"]
             assert (e.data_term, e.log_norm, e.total) == (
                 r["data_term"], r["log_norm"], r["total"])
+        assert [(s.k, s.reason) for s in lib.skipped] == [
+            (s["k"], s["reason"]) for s in report["skipped"]]
 
     def test_header_flag(self, tmp_path, capsys):
         csv = tmp_path / "h.csv"
@@ -215,6 +218,39 @@ class TestScale:
         assert np.array_equal(scaled, original / alpha)
         var = scaled.var()
         assert var <= 0.25 and math.isfinite(alpha)
+
+    def test_eps1_is_not_a_scale_flag(self, tmp_path, capsys):
+        csv = tmp_path / "wide.csv"
+        write_blobs(csv, seed=9)
+        with pytest.raises(SystemExit) as info:
+            main(["scale", str(csv), "--scaled-output", str(tmp_path / "s.csv"),
+                  "--eps1", "1e-3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --eps1" in capsys.readouterr().err
+
+
+INVALID_DOMAIN_FLAGS = [
+    ["--r", "0"], ["--r", "-1"], ["--eps2", "0"], ["--eps2", "-0.1"],
+    ["--eps2-cap", "1"], ["--eps2-cap", "1.5"],
+    ["--eps2-cap", "0.5"],   # above max_eps2_cap(3) ~ 0.37: orthogonal volume > 1
+]
+
+
+@pytest.mark.parametrize("command, flags", [
+    *[("select", flags) for flags in INVALID_DOMAIN_FLAGS],
+    ("select", ["--eps1", "0.3"]),   # above eps2 = 0.25
+    *[("scale", flags) for flags in INVALID_DOMAIN_FLAGS],
+], ids=lambda v: "=".join(v).lstrip("-") if isinstance(v, list) else v)
+def test_invalid_domain_flags_exit_3_no_report(tmp_path, capsys, command, flags):
+    csv = tmp_path / "m3.csv"
+    np.savetxt(csv, np.random.default_rng(4).normal(size=(40, 3)), delimiter=",")
+    report, scaled = tmp_path / "report.json", tmp_path / "scaled.csv"
+    argv = [command, str(csv), *flags, "--output", str(report)]
+    if command == "scale":
+        argv += ["--scaled-output", str(scaled)]
+    assert main(argv) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists() and not scaled.exists()
 
 
 class TestDeterminism:

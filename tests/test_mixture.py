@@ -29,7 +29,7 @@ from unml import (
     log_mixture_norm,
     log_norm_bound,
     scale_dataset,
-    select_k,
+    select,
 )
 
 SPEC_1D = DomainSpec.uniform(1, R=1.0, eps1=0.01, eps2=0.25)
@@ -217,7 +217,7 @@ class TestLogMixtureNorm:
 class TestCluster:
     def test_k1_all_ones(self):
         data = two_blob_data(2)
-        z = cluster(data, 1, SPEC_1D, seed=0)
+        z = cluster(data, 1, seed=0)
         assert np.all(z.labels == 1)
 
     def test_separated_blobs_recovered(self):
@@ -227,7 +227,7 @@ class TestCluster:
                                       rng.normal(100, 1, n_per)]))
         alpha = choose_scale(raw, SPEC_1D, 1.05)
         data = scale_dataset(raw, alpha)
-        z = cluster(data, 2, SPEC_1D, seed=3)
+        z = cluster(data, 2, seed=3)
         threshold = 50.0 / alpha
         reference = (data.rows[:, 0] > threshold).astype(int)
         got = z.labels - 1
@@ -236,18 +236,18 @@ class TestCluster:
 
     def test_infeasible_k(self):
         with pytest.raises(InfeasibleKError):
-            cluster(Dataset([0.0, 1.0, 2.0]), 2, SPEC_1D, seed=0)
+            cluster(Dataset([0.0, 1.0, 2.0]), 2, seed=0)
 
     def test_deterministic(self):
         data = two_blob_data(9, n_per=30)
-        a = cluster(data, 2, SPEC_1D, seed=42)
-        b = cluster(data, 2, SPEC_1D, seed=42)
+        a = cluster(data, 2, seed=42)
+        b = cluster(data, 2, seed=42)
         assert np.array_equal(a.labels, b.labels)
 
     def test_minimum_cluster_sizes(self):
         data = two_blob_data(11, n_per=20, m=1)
         for k in (2, 3, 4):
-            z = cluster(data, k, SPEC_1D, seed=1)
+            z = cluster(data, k, seed=1)
             assert np.all(z.counts >= data.m + 1)
 
 
@@ -257,9 +257,7 @@ def tie_heavy(t):
     m = 1 + t % 2
     x = rng.integers(0, 4, (rng.integers(8, 30), m)).astype(float)
     x[:rng.integers(0, 6)] += 0.01 * rng.standard_normal((1, m))
-    spec = (DomainSpec.uniform(1, R=1, eps1=0.01, eps2=0.25) if m == 1 else
-            DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.2, eps2_cap=0.2))
-    return Dataset(x), spec
+    return Dataset(x)
 
 
 class TestRepairs:
@@ -273,65 +271,64 @@ class TestRepairs:
                 1, 1], 39.155425569105496),
     ])
     def test_repaired_descents_are_pinned(self, monkeypatch, t, k, labels, data_term):
-        data, spec = tie_heavy(t)
-        z = cluster(data, k, spec, t)
+        data = tie_heavy(t)
+        z = cluster(data, k, t)
         assert z.labels.tolist() == labels
         assert complete_data_term(data, z) == pytest.approx(data_term, rel=1e-9)
         monkeypatch.setattr(mixture, "_MAX_REPAIRS", 0)  # the pinned result needs a repair
         with pytest.raises(SingularCovarianceError, match="after 0 repair attempts"):
-            cluster(data, k, spec, t)
+            cluster(data, k, t)
 
     def test_repair_cap(self):
-        data, spec = tie_heavy(0)
+        data = tie_heavy(0)
         with pytest.raises(SingularCovarianceError,
                            match="cluster 3 stayed singular after 10 repair attempts"):
-            cluster(data, 4, spec, 0)
+            cluster(data, 4, 0)
 
     def test_no_donor_left(self):
-        data, spec = tie_heavy(34)
+        data = tie_heavy(34)
         with pytest.raises(SingularCovarianceError, match="no donor points remain"):
-            cluster(data, 3, spec, 34)
+            cluster(data, 3, 34)
 
     @pytest.mark.parametrize("t, failing, data_term", [
         (11, [0, 3, 5, 6, 7], 9.553541590127804),
         (16, [0, 1, 5, 6, 7], 34.56005067514629),
     ])
     def test_failed_restarts_are_skipped(self, t, failing, data_term):
-        data, spec = tie_heavy(t)
+        data = tie_heavy(t)
         for r in failing:
             with pytest.raises(SingularCovarianceError):
-                mixture._descend(data, 3, spec, mixture._child_seed(0, 3, r))
-        fits, _ = fit_k_range(data, [3], spec, 0, 8)
-        best = mixture._descend(data, 3, spec, mixture._child_seed(0, 3, 2))
+                mixture._descend(data, 3, mixture._child_seed(0, 3, r))
+        fits, _ = fit_k_range(data, [3], 0, 8)
+        best = mixture._descend(data, 3, mixture._child_seed(0, 3, 2))
         assert np.array_equal(fits[0].assignment.labels, best.assignment.labels)
         assert fits[0].data_term == best.data_term
         assert fits[0].data_term == pytest.approx(data_term, rel=1e-12)
 
     def test_all_restarts_failing_raise_the_first_error(self):
-        data, spec = tie_heavy(34)  # restart 0 fails on cluster 1, restart 1 on cluster 2
+        data = tie_heavy(34)  # restart 0 fails on cluster 1, restart 1 on cluster 2
         with pytest.raises(SingularCovarianceError, match="cluster 1 has singular"):
-            best_clustering(data, 3, spec, 0, restarts=2)
+            best_clustering(data, 3, 0, restarts=2)
 
 
 class TestRoundingFloor:
     """Eigenvalues at the scatter's rounding level count as singular."""
 
     def test_rounding_noise_cluster_is_repaired(self, monkeypatch):
-        data, spec = tie_heavy(259)
-        fit = mixture._descend(data, 3, spec, 259)
+        data = tie_heavy(259)
+        fit = mixture._descend(data, 3, 259)
         assert fit.assignment.labels.tolist() == [1, 3, 1, 3, 2, 3, 2, 1, 3, 2, 1, 1]
         assert fit.data_term == pytest.approx(-28.217354811341124, rel=1e-9)
         assert fit.min_eigenvalue == pytest.approx(1.536406071347763e-08, rel=1e-9)
         # without the floor the descent prices a cluster of repeated points
         monkeypatch.setattr(stats, "_rounding_floor", lambda reach, counts, lam: 0 * reach)
-        assert mixture._descend(data, 3, spec, 259).min_eigenvalue < 1e-20
+        assert mixture._descend(data, 3, 259).min_eigenvalue < 1e-20
 
     def test_far_off_tight_cluster_is_kept(self):
         rng = np.random.default_rng(7)
         tight = 1000.0 + 1e-6 * rng.standard_normal((40, 2))
         data = Dataset(np.vstack([rng.standard_normal((40, 2)), tight]))
-        spec = DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.2, eps2_cap=0.2)
-        fits, _ = fit_k_range(data, [2], spec, 0, 4)
+        fits, _ = fit_k_range(data, [2], 0, 4)
         labels = fits[0].assignment.labels
         assert len(set(labels[:40])) == 1 and set(labels[40:]) == {3 - labels[0]}
         smallest = np.linalg.eigvalsh(np.cov(tight.T, bias=True))[0]
@@ -373,24 +370,24 @@ class TestStackedRestarts:
             monkeypatch.setattr(mixture, "_RESTART_BLOCK", 1)
 
     @staticmethod
-    def best_single(data, k, spec, seed, restarts):
+    def best_single(data, k, seed, restarts):
         """Best of single-seed descents, in restart order; or the first error."""
         fits, errors = [], []
         for r in range(restarts):
             try:
-                fits.append(mixture._descend(data, k, spec, mixture._child_seed(seed, k, r)))
+                fits.append(mixture._descend(data, k, mixture._child_seed(seed, k, r)))
             except SingularCovarianceError as exc:
                 errors.append(exc)
         return min(fits, key=lambda fit: fit.data_term) if fits else errors[0]
 
-    def assert_best_of_singles(self, data, k, spec, seed, restarts):
-        want = self.best_single(data, k, spec, seed, restarts)
+    def assert_best_of_singles(self, data, k, seed, restarts):
+        want = self.best_single(data, k, seed, restarts)
         if isinstance(want, SingularCovarianceError):
             with pytest.raises(SingularCovarianceError) as info:
-                mixture._best_fit(data, k, spec, seed, restarts)
+                mixture._best_fit(data, k, seed, restarts)
             assert str(info.value) == str(want)
             return
-        got = mixture._best_fit(data, k, spec, seed, restarts)
+        got = mixture._best_fit(data, k, seed, restarts)
         assert got.assignment.labels.tolist() == want.assignment.labels.tolist()
         assert repr(got.data_term) == repr(want.data_term)
         assert got.min_eigenvalue == want.min_eigenvalue
@@ -398,23 +395,21 @@ class TestStackedRestarts:
 
     def test_tie_heavy(self, blocks):
         for t in range(50):
-            data, spec = tie_heavy(t)
+            data = tie_heavy(t)
             for k in (2, 3, 4):
                 if data.n >= k * (data.m + 1):
-                    self.assert_best_of_singles(data, k, spec, t, 8)
+                    self.assert_best_of_singles(data, k, t, 8)
 
     def test_planted_blobs(self, blocks):
         data = planted_blobs(5)
-        spec = DomainSpec.uniform(3, R=1, eps1=1e-8, eps2=0.2, eps2_cap=0.2)
         for k in range(2, 9):
-            self.assert_best_of_singles(data, k, spec, 5, 16)
+            self.assert_best_of_singles(data, k, 5, 16)
 
     def test_fit_k_range_is_pinned(self):
         # recorded before restarts were stacked; the partitions are unchanged
         # and data_term moved by at most 4e-15 relative
         data = planted_blobs(6)
-        spec = DomainSpec.uniform(3, R=1, eps1=1e-8, eps2=0.2, eps2_cap=0.2)
-        fits, _ = fit_k_range(data, range(1, 9), spec, 6, 16)
+        fits, _ = fit_k_range(data, range(1, 9), 6, 16)
         expected = [
             (1, 1597.798857242818, 3160482835), (2, 1517.608191075427, 3086725000),
             (3, 1438.572919683732, 8241286), (4, 1327.7592081200821, 824918795),
@@ -428,14 +423,14 @@ class TestStackedRestarts:
 
     def test_round_cap_is_reported(self, monkeypatch):
         data = two_blob_data(9, n_per=30)
-        fit = mixture._descend(data, 2, SPEC_1D, 42)
+        fit = mixture._descend(data, 2, 42)
         assert fit.converged and 2 <= fit.rounds < mixture._MAX_ROUNDS
-        fits, _ = fit_k_range(data, [1, 2], SPEC_1D, 0, 3)
+        fits, _ = fit_k_range(data, [1, 2], 0, 3)
         assert [(f.rounds, f.converged) for f in fits][0] == (2, True)
         monkeypatch.setattr(mixture, "_MAX_ROUNDS", 1)
-        capped = mixture._descend(data, 2, SPEC_1D, 42)
+        capped = mixture._descend(data, 2, 42)
         assert (capped.rounds, capped.converged) == (1, False)
-        fits, _ = fit_k_range(data, [1, 2], SPEC_1D, 0, 3)
+        fits, _ = fit_k_range(data, [1, 2], 0, 3)
         assert all((f.rounds, f.converged) == (1, False) for f in fits)
 
 
@@ -443,16 +438,12 @@ class TestSelectK:
     def test_single_blob_selects_one(self):
         rng = np.random.default_rng(13)
         raw = Dataset(rng.normal(0.0, 1.0, size=80))
-        alpha = choose_scale(raw, SPEC_1D, 1.05)
-        data = scale_dataset(raw, alpha)
-        report = select_k(data, range(1, 4), SPEC_1D, seed=2, restarts=4)
+        report = select(raw, range(1, 4), seed=2, restarts=4, eps1=0.01)
         assert report.selected_k == 1
 
     def test_two_blobs_select_two(self):
         raw = two_blob_data(17, n_per=100, gap=12.0)
-        alpha = choose_scale(raw, SPEC_1D, 1.05)
-        data = scale_dataset(raw, alpha)
-        report = select_k(data, range(1, 5), SPEC_1D, seed=2, restarts=4)
+        report = select(raw, range(1, 5), seed=2, restarts=4, eps1=0.01)
         assert report.selected_k == 2
         totals = {e.k: e.total for e in report.entries}
         assert totals[2] < totals[1] and totals[2] < totals[3]
@@ -460,22 +451,17 @@ class TestSelectK:
     def test_consistency_with_single_gaussian_path(self):
         rng = np.random.default_rng(19)
         raw = Dataset(rng.normal(0.0, 1.0, size=60))
-        alpha = choose_scale(raw, SPEC_1D, 1.2)
-        data = scale_dataset(raw, alpha)
-        report = select_k(data, [1], SPEC_1D, seed=0, restarts=1)
-        single = gaussian_codelength(data, SPEC_1D)
+        report = select(raw, [1], seed=0, restarts=1, eps1=0.01, margin=1.2)
+        assert report.alpha == choose_scale(raw, SPEC_1D, 1.2)
+        single = gaussian_codelength(scale_dataset(raw, report.alpha), SPEC_1D)
         entry = report.entries[0]
         assert entry.total == pytest.approx(single.total, rel=1e-12)
 
     def test_scaled_run_same_argmin_and_differences(self):
         raw = two_blob_data(29, n_per=60, gap=10.0)
         pre_scaled = Dataset(raw.rows / 1000.0)
-        reports = []
-        for d in (raw, pre_scaled):
-            alpha = choose_scale(d, SPEC_1D, 1.05)
-            scaled = scale_dataset(d, alpha)
-            reports.append(select_k(scaled, range(1, 4), SPEC_1D, seed=5, restarts=3))
-        r1, r2 = reports
+        r1, r2 = (select(d, range(1, 4), seed=5, restarts=3, eps1=0.01)
+                  for d in (raw, pre_scaled))
         assert r1.selected_k == r2.selected_k
         t1 = {e.k: e.total for e in r1.entries}
         t2 = {e.k: e.total for e in r2.entries}
@@ -485,16 +471,31 @@ class TestSelectK:
                 d2 = t2[ka] - t2[kb]
                 assert abs(d1 - d2) <= 1e-8 * max(1.0, abs(d1))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_selection_does_not_depend_on_the_units(self, seed):
+        # at the default eps1, which is derived from the scaled data
+        x = planted_blobs(seed).rows
+        base = select(Dataset(x), range(1, 7), seed=3, restarts=8)
+        assert base.selected_k == 4
+        for c in (1e-6, 1e-3, 1e3):
+            report = select(Dataset(c * x), range(1, 7), seed=3, restarts=8)
+            assert report.selected_k == base.selected_k
+            assert report.alpha == pytest.approx(c * base.alpha, rel=1e-12)
+            for e, b in zip(report.entries, base.entries, strict=True):
+                assert partition_crc(e.assignment.labels) == partition_crc(
+                    b.assignment.labels)
+                assert e.total == pytest.approx(b.total, rel=1e-9)
+
     def test_skipped_are_recorded(self):
         data = two_blob_data(3, n_per=4)  # n = 8, m = 1: k = 5 infeasible
-        report = select_k(data, range(1, 6), SPEC_1D, seed=1, restarts=2)
+        report = select(data, range(1, 6), seed=1, restarts=2, eps1=0.01)
         skipped = {s.k for s in report.skipped}
         assert 5 in skipped
         assert {e.k for e in report.entries} == {1, 2, 3, 4}
 
     def test_all_infeasible_raises(self):
         with pytest.raises(InfeasibleKError):
-            select_k(Dataset([0.0, 1.0, 2.0]), [2, 3], SPEC_1D, seed=0)
+            select(Dataset([0.0, 1.0, 2.0]), [2, 3], seed=0, eps1=0.01)
 
     def test_more_restarts_never_worse(self):
         raw = two_blob_data(37, n_per=25, gap=6.0)
@@ -503,7 +504,7 @@ class TestSelectK:
         for k in (2, 3):
             terms = []
             for restarts in (1, 2, 4, 8):
-                z = best_clustering(data, k, SPEC_1D, seed=11, restarts=restarts)
+                z = best_clustering(data, k, seed=11, restarts=restarts)
                 terms.append(complete_data_term(data, z))
             assert all(b <= a + 1e-12 for a, b in zip(terms, terms[1:]))
 
@@ -511,8 +512,7 @@ class TestSelectK:
 class TestFitRecords:
     def test_fits_carry_the_oracle_values(self):
         data = two_blob_data(41, n_per=25, m=2)
-        spec = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
-        fits, skipped = fit_k_range(data, range(1, 5), spec, seed=3, restarts=3)
+        fits, skipped = fit_k_range(data, range(1, 5), seed=3, restarts=3)
         assert [f.assignment.k for f in fits] == [1, 2, 3, 4] and skipped == []
         for fit in fits:
             z = fit.assignment
@@ -523,8 +523,8 @@ class TestFitRecords:
 
     def test_best_fit_matches_best_clustering(self):
         data = two_blob_data(43, n_per=20, gap=4.0)
-        fits, _ = fit_k_range(data, [3], SPEC_1D, seed=5, restarts=4)
-        z = best_clustering(data, 3, SPEC_1D, seed=5, restarts=4)
+        fits, _ = fit_k_range(data, [3], seed=5, restarts=4)
+        z = best_clustering(data, 3, seed=5, restarts=4)
         assert np.array_equal(fits[0].assignment.labels, z.labels)
 
     def test_derive_eps1_rule(self):

@@ -210,15 +210,26 @@ class TestCheckDomain:
 
 class TestChooseScale:
     def test_hand_max_evaluation(self):
-        # mean 10, variance 4: alpha = max(10 / 1, sqrt(4 / 0.5), 1) = 10
+        # mean 10, variance 4: alpha = max(10 / 1, sqrt(4 / 0.5)) = 10
         data = Dataset([8.0, 12.0])
         spec = DomainSpec.uniform(1, R=1.0, eps1=1e-6, eps2=0.5)
         assert choose_scale(data, spec, 1.0) == pytest.approx(10.0)
 
-    def test_already_inside_gives_one(self):
+    def test_follows_the_units(self):
+        # data already inside is scaled up to the bounds: no floor at alpha = 1
         data = Dataset([-0.3, 0.3])
         spec = DomainSpec.uniform(1, R=1.0, eps1=1e-6, eps2=0.5)
-        assert choose_scale(data, spec, 1.0) == pytest.approx(1.0)
+        alpha = choose_scale(data, spec, 1.0)
+        assert alpha == pytest.approx(math.sqrt(0.09 / 0.5), rel=1e-12)
+        rng = np.random.default_rng(8)
+        # the eigenvalue bound binds on the first two datasets, the mean bound on the last
+        for rows in (data.rows, rng.normal(size=(30, 2)) + [0.3, -0.1],
+                     np.array([[8.0], [12.0]])):
+            spec = DomainSpec.uniform(rows.shape[1], R=1.0, eps1=1e-8, eps2=0.25)
+            alpha = choose_scale(Dataset(rows), spec, 1.05)
+            for c in 10.0 ** np.arange(-9, 10, 3):
+                assert choose_scale(Dataset(c * rows), spec, 1.05) == pytest.approx(
+                    c * alpha, rel=1e-12)
 
     def test_margin_only(self):
         data = Dataset([-0.70710678, 0.70710678])  # mean 0, var 0.5

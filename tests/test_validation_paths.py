@@ -29,7 +29,7 @@ from unml import (
     mc_log_norm_dataspace,
     mixture_norm_bruteforce,
     quad_log_norm_1d,
-    select_k,
+    select,
 )
 from unml.cli import main
 
@@ -55,22 +55,19 @@ SPEC_2D = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
                  id="<lambda>-InvalidAssignmentError"),
     pytest.param(lambda: log_mixture_norm(0, 5, SPEC_1D), InvalidInputError,
                  id="<lambda>-InvalidInputError5"),
-    pytest.param(lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 0, SPEC_1D, 0),
+    pytest.param(lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 0, 0),
                  InvalidInputError,
                  id="<lambda>-InvalidInputError6"),
-    pytest.param(lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_2D, 0),
-                 InvalidInputError,
-                 id="<lambda>-InvalidInputError7"),
-    pytest.param(lambda: cluster(Dataset(np.full((10, 1), 3.0)), 1, SPEC_1D, 0),
+    pytest.param(lambda: cluster(Dataset(np.full((10, 1), 3.0)), 1, 0),
                  SingularCovarianceError,
                  id="<lambda>-SingularCovarianceError"),
-    pytest.param(lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), 2, SPEC_1D, 0,
-                                         restarts=0), InvalidInputError,
+    pytest.param(lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), 2, 0, restarts=0),
+                 InvalidInputError,
                  id="<lambda>-InvalidInputError8"),
-    pytest.param(lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [], SPEC_1D, 0),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [], 0, eps1=0.01),
                  InvalidInputError,
                  id="<lambda>-InvalidInputError9"),
-    pytest.param(lambda: select_k(Dataset([0.0, 1.0, 2.0, 3.0]), [0, 1], SPEC_1D, 0),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [0, 1], 0, eps1=0.01),
                  InvalidInputError,
                  id="<lambda>-InvalidInputError10"),
     pytest.param(lambda: mc_log_norm_dataspace(2, SPEC_2D, 10_000, 0), InvalidInputError,
@@ -95,13 +92,12 @@ def test_rejects_invalid_arguments(call, exc):
 
 def test_all_k_infeasible_is_an_error():
     with pytest.raises(InfeasibleKError):
-        select_k(Dataset([0.0, 1.0, 2.0]), [4, 5], SPEC_1D, 0)
+        select(Dataset([0.0, 1.0, 2.0]), [4, 5], 0, eps1=0.01)
 
 
 def test_mixture_norm_needs_feasible_k_for_data():
     # a report is still produced when at least one candidate is feasible
-    report = select_k(Dataset([0.0, 1.0, 2.0, 3.5]), [1, 9], SPEC_1D, 0,
-                      restarts=1)
+    report = select(Dataset([0.0, 1.0, 2.0, 3.5]), [1, 9], 0, restarts=1, eps1=0.01)
     assert report.selected_k == 1
     assert report.skipped[0].k == 9
 
