@@ -65,7 +65,6 @@ from .stats import (
     load_csv,
     save_csv,
     scale_dataset,
-    upper_bound_spec,
 )
 from .verify import (
     GammaKsReport,
@@ -133,5 +132,4 @@ __all__ = [
     "save_csv",
     "scale_dataset",
     "select",
-    "upper_bound_spec",
 ]

@@ -32,7 +32,6 @@ from .stats import (
     load_csv,
     save_csv,
     scale_dataset,
-    upper_bound_spec,
 )
 from .verify import mc_log_norm_dataspace, quad_log_norm_1d
 
@@ -61,15 +60,13 @@ def _spec_dict(spec: DomainSpec) -> dict:
         "R": spec.R,
         "eps1": [float(v) for v in spec.eps1],
         "eps2": [float(v) for v in spec.eps2],
-        "eps2_cap": spec.eps2_cap,
     }
 
 
 def cmd_select(args) -> int:
     data = load_csv(args.input, header=args.header)
     report = select(data, range(args.k_min, args.k_max + 1), args.seed, args.restarts,
-                    R=args.r, eps2=args.eps2, eps2_cap=args.eps2_cap, eps1=args.eps1,
-                    margin=args.margin)
+                    R=args.r, eps2=args.eps2, eps1=args.eps1, margin=args.margin)
     f = _unit_factor(args.unit)
     payload = {
         "command": "select",
@@ -122,9 +119,7 @@ def cmd_genlog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = upper_bound_spec(args.m, args.r, args.eps2, args.eps2_cap).eps2_cap
-    spec = DomainSpec.uniform(args.m, R=args.r, eps1=args.eps1, eps2=args.eps2,
-                              eps2_cap=cap)
+    spec = DomainSpec.uniform(args.m, R=args.r, eps1=args.eps1, eps2=args.eps2)
     est = mc_log_norm_dataspace(args.n, spec, args.samples, args.seed)
     bound = log_norm_bound(args.n, spec)
     ok = est.log_value + 3.0 * est.std_error_log < bound
@@ -152,8 +147,9 @@ def cmd_verify(args) -> int:
 
 def cmd_scale(args) -> int:
     data = load_csv(args.input, header=args.header)
-    bounds = upper_bound_spec(data.m, args.r, args.eps2, args.eps2_cap)
-    alpha = choose_scale(data, bounds, margin=args.margin)
+    # scaling ignores eps1, so eps2 stands in for it
+    spec = DomainSpec.uniform(data.m, R=args.r, eps1=args.eps2, eps2=args.eps2)
+    alpha = choose_scale(data, spec, margin=args.margin)
     scaled = scale_dataset(data, alpha)
     save_csv(scaled, args.scaled_output)
     payload = {
@@ -179,8 +175,6 @@ def _add_domain_flags(p: argparse.ArgumentParser) -> None:
                    help="bound on the squared mean norm (default 1)")
     p.add_argument("--eps2", type=float, default=0.25,
                    help="eigenvalue upper bound (default 0.25)")
-    p.add_argument("--eps2-cap", type=float, default=None,
-                   help="global eigenvalue cap (default: orthogonal-volume safe)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ selected K, do not depend on the scale at which the data is encoded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .stats import (
     log_gamma,
     scale_dataset,
     segment_moments,
-    upper_bound_spec,
     xlogy,
 )
 
@@ -53,13 +52,14 @@ _RESTART_BLOCK = 1 << 17
 class Assignment:
     """A hard assignment of n observations to k clusters.
 
-    Labels take values in 1..k.  ``counts[i]`` is the size of cluster i + 1.
+    Labels take values in 1..k.  ``counts[i]``, derived from the labels, is the
+    size of cluster i + 1.
     Serializes as a plain integer array.
     """
 
     labels: np.ndarray
     k: int
-    counts: np.ndarray = None
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -71,10 +71,6 @@ class Assignment:
         if labels.min() < 1 or labels.max() > k:
             raise InvalidAssignmentError(f"labels must lie in 1..{k}")
         counts = np.bincount(labels - 1, minlength=k)
-        if self.counts is not None:
-            given = np.asarray(self.counts, dtype=int)
-            if given.shape != (k,) or np.any(given != counts):
-                raise InvalidAssignmentError("counts inconsistent with labels")
         labels = labels.copy()
         labels.setflags(write=False)
         counts.setflags(write=False)
@@ -543,21 +539,20 @@ def build_report(fits: list[ClusterFit], skipped: list[SkippedK], spec: DomainSp
 
 
 def select(data: Dataset, k_range, seed: int, restarts: int = 8, *, R: float = 1.0,
-           eps2: float = 0.25, eps2_cap: float | None = None, eps1: float | None = None,
+           eps2: float = 0.25, eps1: float | None = None,
            margin: float = 1.05) -> ModelSelectionReport:
     """Select the number of clusters of raw data over candidate K values.
 
-    The data is divided by ``choose_scale``'s alpha for the upper bounds of
-    ``stats.upper_bound_spec(m, R, eps2, eps2_cap)``, ``fit_k_range`` fits
-    every K on the scaled data, and ``build_report`` prices the fits on the
-    domain with ``eps1``, by default ``derive_eps1`` of the fits.  The report
-    records the alpha and the spec applied.  ``unml select`` is this function.
+    The data is divided by ``choose_scale``'s alpha for the upper bounds
+    (``R``, ``eps2``), ``fit_k_range`` fits every K on the scaled data, and
+    ``build_report`` prices the fits on the domain with ``eps1``, by default
+    ``derive_eps1`` of the fits.  The report records the alpha and the spec
+    applied.  ``unml select`` is this function.
     """
-    bounds = upper_bound_spec(data.m, R, eps2, eps2_cap)
-    # a given eps1 is checked before any fitting
-    spec = None if eps1 is None else replace(bounds, eps1=np.full(data.m, float(eps1)))
-    alpha = choose_scale(data, bounds, margin)
+    # the whole domain is checked before any fitting; scaling ignores eps1
+    spec = DomainSpec.uniform(data.m, R=R, eps1=eps2 if eps1 is None else eps1, eps2=eps2)
+    alpha = choose_scale(data, spec, margin)
     fits, skipped = fit_k_range(scale_dataset(data, alpha), k_range, seed, restarts)
-    if spec is None:
-        spec = replace(bounds, eps1=np.full(data.m, derive_eps1(fits, bounds.eps2[0])))
+    if eps1 is None:
+        spec = replace(spec, eps1=np.full(data.m, derive_eps1(fits, spec.eps2[0])))
     return build_report(fits, skipped, spec, seed, restarts, alpha)

@@ -3,8 +3,8 @@
 The restricted domain constrains the maximum-likelihood estimates of a dataset:
 the squared norm of the mean must not exceed ``R`` and every eigenvalue of the
 covariance must lie inside a per-coordinate interval ``[eps1[j], eps2[j]]`` with
-a global cap ``eps2_cap < 1``.  Everything downstream (code lengths, bounds,
-model selection) is phrased in terms of these statistics.
+``eps2[j] < 1``.  Everything downstream (code lengths, bounds, model selection)
+is phrased in terms of these statistics.
 """
 
 from __future__ import annotations
@@ -143,30 +143,10 @@ def log_multivariate_gamma(m: int, a):
     return float(res) if np.isscalar(a) or a_arr.ndim == 0 else res
 
 
-def _log_orthogonal_volume(m: int, cap: float) -> float:
-    # log of pi^(m^2/2) / Gamma_m(m/2) * cap^(m(m-1)/2); the domain needs <= 0
+def _log_orthogonal_volume(m: int, top: float) -> float:
+    # log of pi^(m^2/2) / Gamma_m(m/2) * top^(m(m-1)/2); the domain needs <= 0
     return (m * m / 2.0) * math.log(math.pi) - log_multivariate_gamma(m, m / 2.0) \
-        + m * (m - 1) / 2.0 * math.log(cap)
-
-
-def max_eps2_cap(m: int) -> float:
-    """Largest ``eps2_cap`` satisfying the orthogonal-volume constraint (1 for m = 1)."""
-    if m <= 1:
-        return 1.0
-    return math.exp(-_log_orthogonal_volume(m, 1.0) / (m * (m - 1) / 2.0))
-
-
-def upper_bound_spec(m: int, R: float = 1.0, eps2: float = 0.25,
-                     eps2_cap: float | None = None) -> DomainSpec:
-    """The domain's upper bounds, the spec ``choose_scale`` reads.
-
-    ``eps2_cap`` defaults to min(0.25, 0.999 max_eps2_cap(m)) and ``eps2`` is
-    clipped to the cap.  ``eps1`` stands in as ``eps2``: scaling ignores it.
-    """
-    if eps2_cap is None:
-        eps2_cap = min(0.25, 0.999 * max_eps2_cap(m))
-    eps2 = min(eps2, eps2_cap)
-    return DomainSpec.uniform(m, R=R, eps1=eps2, eps2=eps2, eps2_cap=eps2_cap)
+        + m * (m - 1) / 2.0 * math.log(top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,43 +155,41 @@ class DomainSpec:
 
     ``R`` bounds the squared norm of the mean estimate.  ``eps1`` and ``eps2``
     are per-coordinate lower and upper bounds on the ascending covariance
-    eigenvalues, with ``0 < eps1[j] <= eps2[j] <= eps2_cap < 1``.  The cap must
-    additionally satisfy the orthogonal-volume constraint
-    ``pi^(m^2/2) / Gamma_m(m/2) * eps2_cap^(m(m-1)/2) <= 1``, which is what
+    eigenvalues, with ``0 < eps1[j] <= eps2[j] < 1``.  The largest upper bound
+    must additionally satisfy the orthogonal-volume constraint
+    ``pi^(m^2/2) / Gamma_m(m/2) * max(eps2)^(m(m-1)/2) <= 1``, which is what
     lets the eigenvector integral be bounded away; for m = 1 it is vacuous.
     """
 
     R: float
     eps1: np.ndarray
     eps2: np.ndarray
-    eps2_cap: float
 
     def __post_init__(self):
         eps1 = np.atleast_1d(np.asarray(self.eps1, dtype=float))
         eps2 = np.atleast_1d(np.asarray(self.eps2, dtype=float))
         R = float(self.R)
-        cap = float(self.eps2_cap)
         if eps1.ndim != 1 or eps1.shape != eps2.shape:
             raise InvalidInputError("eps1 and eps2 must be 1-D vectors of equal length")
         m = eps1.shape[0]
+        if m < 1:
+            raise InvalidInputError(f"dimension m must be >= 1, got {m}")
         if not (np.isfinite(R) and R > 0):
             raise InvalidInputError(f"R must be a positive real, got {R}")
         if not np.all(np.isfinite(eps1)) or not np.all(np.isfinite(eps2)):
             raise InvalidInputError("eigenvalue bounds must be finite")
-        if not (0 < cap < 1):
-            raise InvalidInputError(f"eps2_cap must lie in (0, 1), got {cap}")
-        if np.any(eps1 <= 0) or np.any(eps1 > eps2) or np.any(eps2 > cap):
+        if np.any(eps1 <= 0) or np.any(eps1 > eps2) or np.any(eps2 >= 1):
             raise InvalidInputError(
-                "bounds must satisfy 0 < eps1[j] <= eps2[j] <= eps2_cap for all j")
-        if _log_orthogonal_volume(m, cap) > 1e-9:
+                "bounds must satisfy 0 < eps1[j] <= eps2[j] < 1 for all j")
+        top = float(eps2.max())
+        if _log_orthogonal_volume(m, top) > 1e-9:
             raise InvalidInputError(
-                f"orthogonal-volume constraint violated: cap {cap} too large for m={m}")
+                f"orthogonal-volume constraint violated: max eps2 {top} too large for m={m}")
         for name, arr in (("eps1", eps1), ("eps2", eps2)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "eps2_cap", cap)
 
     @property
     def m(self) -> int:
@@ -219,12 +197,9 @@ class DomainSpec:
 
     @classmethod
     def uniform(cls, m: int, R: float = 1.0, eps1: float = 0.01,
-                eps2: float = 0.25, eps2_cap: float | None = None) -> "DomainSpec":
+                eps2: float = 0.25) -> "DomainSpec":
         """Build a spec with identical per-coordinate bounds."""
-        if eps2_cap is None:
-            eps2_cap = eps2
-        return cls(R=R, eps1=np.full(m, float(eps1)), eps2=np.full(m, float(eps2)),
-                   eps2_cap=eps2_cap)
+        return cls(R=R, eps1=np.full(m, float(eps1)), eps2=np.full(m, float(eps2)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,8 +179,9 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     Samples whole datasets, evaluates the maximized likelihood on those whose
     MLEs land inside the domain, and importance-weights by the proposal
     density.  Membership implies every coordinate lies within
-    sqrt(R) + sqrt(n m eps2_cap) of zero (the total scatter around the mean is
-    n * trace of the covariance), which provides the enclosing cube.
+    sqrt(R) + sqrt(n m max(eps2)) of zero (the total scatter around the mean
+    is n * trace of the covariance, at most n * sum(eps2)), which provides the
+    enclosing cube.
 
     The one proposal is a defensive blend of the uniform cube with
     hierarchical components matched to the domain's eigenvalue range.  (Plain
@@ -214,7 +215,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     if samples < _MIN_SAMPLES:
         raise InvalidInputError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
 
-    cube_half = math.sqrt(spec.R) + math.sqrt(n * m * spec.eps2_cap)
+    cube_half = math.sqrt(spec.R) + math.sqrt(n * m * float(spec.eps2.max()))
     log_vcube = m * n * math.log(2.0 * cube_half)
     mu_half = math.sqrt(spec.R)
     lam_grid = np.geomspace(0.8 * float(spec.eps1.min()),

@@ -113,8 +113,7 @@ class TestSelect:
         assert (lib.selected_k, lib.alpha, lib.seed, lib.restarts) == (
             report["selected_k"], report["alpha"], report["seed"], report["restarts"])
         assert report["spec"] == {"R": lib.spec.R, "eps1": lib.spec.eps1.tolist(),
-                                  "eps2": lib.spec.eps2.tolist(),
-                                  "eps2_cap": lib.spec.eps2_cap}
+                                  "eps2": lib.spec.eps2.tolist()}
         assert [e.k for e in lib.entries] == [e["k"] for e in report["entries"]]
         for e, r in zip(lib.entries, report["entries"]):
             assert e.assignment.labels.tolist() == r["labels"]
@@ -122,6 +121,14 @@ class TestSelect:
                 r["data_term"], r["log_norm"], r["total"])
         assert [(s.k, s.reason) for s in lib.skipped] == [
             (s["k"], s["reason"]) for s in report["skipped"]]
+
+    def test_eps2_is_priced_as_given(self, tmp_path, capsys):
+        csv = tmp_path / "blobs.csv"
+        write_blobs(csv)
+        code, out = run(["select", str(csv), "--k-max", "2", "--restarts", "2",
+                         "--eps2", "0.3"], capsys)
+        assert code == 0
+        assert json.loads(out)["spec"]["eps2"] == [0.3]
 
     def test_header_flag(self, tmp_path, capsys):
         csv = tmp_path / "h.csv"
@@ -196,6 +203,18 @@ class TestVerify:
         capsys.readouterr()
         assert code == 3
 
+    def test_m1_accepts_eps2_above_a_quarter(self, capsys):
+        code, out = run(["verify", "--m", "1", "--n", "3", "--samples", "20000",
+                         "--eps2", "0.5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["spec"]["eps2"] == [0.5]
+        assert abs(report["estimate"] - report["exact"]) <= 3 * report["stderr"]
+
+    def test_m0_exit_3(self, capsys):
+        assert main(["verify", "--m", "0"]) == 3
+        assert "dimension m must be >= 1, got 0" in capsys.readouterr().err
+
     def test_no_accepted_sample_exit_4(self, capsys):
         code = main(["verify", "--m", "1", "--n", "3", "--samples", "10000",
                      "--eps1", "1e-7", "--eps2", "1.0000001e-7"])
@@ -231,8 +250,8 @@ class TestScale:
 
 INVALID_DOMAIN_FLAGS = [
     ["--r", "0"], ["--r", "-1"], ["--eps2", "0"], ["--eps2", "-0.1"],
-    ["--eps2-cap", "1"], ["--eps2-cap", "1.5"],
-    ["--eps2-cap", "0.5"],   # above max_eps2_cap(3) ~ 0.37: orthogonal volume > 1
+    ["--eps2", "1"], ["--eps2", "1.5"],
+    ["--eps2", "0.5"],   # above 0.37 at m = 3: orthogonal volume > 1
 ]
 
 
@@ -251,6 +270,16 @@ def test_invalid_domain_flags_exit_3_no_report(tmp_path, capsys, command, flags)
     assert main(argv) == 3
     assert "error:" in capsys.readouterr().err
     assert not report.exists() and not scaled.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "in.csv"], ["scale", "in.csv", "--scaled-output", "s.csv"], ["verify"],
+], ids=lambda argv: argv[0])
+def test_eps2_cap_is_not_a_flag(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--eps2-cap", "0.3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --eps2-cap" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -67,8 +67,7 @@ class TestLogDomainConstant:
 
     def test_m1_r4_hand_value(self):
         # B = 4 * 2 * 1 / Gamma(1/2) = 8 / sqrt(pi)
-        spec = DomainSpec.uniform(1, R=4.0, eps1=1.0 - 1e-12, eps2=1.0 - 1e-12,
-                                  eps2_cap=1.0 - 1e-12)
+        spec = DomainSpec.uniform(1, R=4.0, eps1=1.0 - 1e-12, eps2=1.0 - 1e-12)
         assert log_domain_constant(spec) == pytest.approx(
             math.log(8.0 / math.sqrt(math.pi)), rel=1e-10)
 
@@ -110,7 +109,7 @@ class TestLogNormBound:
                 DomainSpec.uniform(m, R=4.0, eps1=1e-6, eps2=0.05),
                 DomainSpec.uniform(m, R=0.3, eps1=0.1, eps2=0.2),
                 DomainSpec(R=2.0, eps1=np.geomspace(1e-4, 1e-2, m),
-                           eps2=np.linspace(0.1, 0.2, m), eps2_cap=0.2),
+                           eps2=np.linspace(0.1, 0.2, m)),
             ]
             sizes = [log_norm_bound(ns, spec) - log_domain_constant(spec)
                      for spec in specs]

@@ -65,10 +65,6 @@ class TestAssignment:
         with pytest.raises(InvalidAssignmentError):
             Assignment(labels=[1, 3], k=2)
 
-    def test_inconsistent_counts_rejected(self):
-        with pytest.raises(InvalidAssignmentError):
-            Assignment(labels=[1, 1, 2], k=2, counts=np.array([1, 2]))
-
 
 class TestCompleteDataTerm:
     def test_single_cluster_equals_gaussian_term(self):

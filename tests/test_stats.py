@@ -163,20 +163,43 @@ class TestScaleDataset:
 class TestDomainSpec:
     def test_ordering_enforced(self):
         with pytest.raises(InvalidInputError):
-            DomainSpec(R=1.0, eps1=[0.5], eps2=[0.1], eps2_cap=0.9)
+            DomainSpec(R=1.0, eps1=[0.5], eps2=[0.1])
 
     def test_cap_below_one(self):
-        with pytest.raises(InvalidInputError):
-            DomainSpec(R=1.0, eps1=[0.1], eps2=[0.9], eps2_cap=1.0)
+        for top in (1.0, 1.5):
+            with pytest.raises(InvalidInputError):
+                DomainSpec(R=1.0, eps1=[0.1], eps2=[top])
 
     def test_orthogonal_volume_constraint_m2(self):
-        # for m = 2 the constraint reads pi * cap <= 1
-        DomainSpec.uniform(2, eps2=0.25, eps2_cap=1 / math.pi - 1e-9)
+        # for m = 2 the constraint reads pi * max(eps2) <= 1
+        DomainSpec.uniform(2, eps2=1 / math.pi - 1e-9)
         with pytest.raises(InvalidInputError):
-            DomainSpec.uniform(2, eps2=0.25, eps2_cap=0.5)
+            DomainSpec.uniform(2, eps2=0.5)
 
     def test_m1_always_satisfied(self):
-        DomainSpec.uniform(1, eps2=0.9, eps2_cap=0.99)
+        DomainSpec.uniform(1, eps2=0.99)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_orthogonal_volume_limit_on_the_largest_eps2(self, m):
+        # the largest eps2 with pi^(m^2/2) / Gamma_m(m/2) * eps2^(m(m-1)/2) <= 1;
+        # the check allows 1e-9 in the log volume, which at m = 2 is
+        # log(1 + 1e-9), so the probes sit 2e-9 either side of the limit
+        log_volume = m * m / 2 * math.log(math.pi) - special.multigammaln(m / 2, m)
+        limit = math.exp(-log_volume / (m * (m - 1) / 2))
+        eps1 = np.full(m, 0.01)
+        for j in range(m):
+            eps2 = np.full(m, 0.1)
+            eps2[j] = (1 - 2e-9) * limit
+            DomainSpec(R=1.0, eps1=eps1, eps2=eps2)
+            eps2[j] = (1 + 2e-9) * limit
+            with pytest.raises(InvalidInputError, match="orthogonal-volume"):
+                DomainSpec(R=1.0, eps1=eps1, eps2=eps2)
+
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(InvalidInputError, match="dimension m"):
+            DomainSpec.uniform(0)
+        with pytest.raises(InvalidInputError, match="dimension m"):
+            DomainSpec(R=1, eps1=[], eps2=[])
 
 
 class TestCheckDomain:

@@ -115,8 +115,7 @@ def test_select_report_is_internally_consistent(tmp_path, capsys):
     report = json.loads(out.read_text())
     spec = DomainSpec.uniform(1, R=report["spec"]["R"],
                               eps1=report["spec"]["eps1"][0],
-                              eps2=report["spec"]["eps2"][0],
-                              eps2_cap=report["spec"]["eps2_cap"])
+                              eps2=report["spec"]["eps2"][0])
     scaled = Dataset(x.reshape(-1, 1) / report["alpha"])
     assert check_domain(compute_mle(scaled), spec).ok
     for entry in report["entries"]:

@@ -133,10 +133,9 @@ class TestMonteCarlo:
 
 SPEC_2D = DomainSpec.uniform(2, R=1, eps1=0.01, eps2=0.25)
 SPEC_3D = DomainSpec.uniform(3, R=1, eps1=0.01, eps2=0.25)
-SPEC_2D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.02]), eps2=np.array([0.1, 0.25]),
-                          eps2_cap=0.25)
+SPEC_2D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.02]), eps2=np.array([0.1, 0.25]))
 SPEC_3D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.01, 0.02]),
-                          eps2=np.array([0.1, 0.2, 0.25]), eps2_cap=0.25)
+                          eps2=np.array([0.1, 0.2, 0.25]))
 
 
 # Monte Carlo pins: (n, spec, samples, seed, log_value, std_error, accepted).
