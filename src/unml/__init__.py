@@ -61,7 +61,6 @@ from .stats import (
     check_domain,
     choose_scale,
     compute_mle,
-    eigen_sym,
     load_csv,
     save_csv,
     scale_dataset,
@@ -108,7 +107,6 @@ __all__ = [
     "complete_data_term",
     "compute_mle",
     "derive_eps1",
-    "eigen_sym",
     "exact_log_norm_1d",
     "fit_k_range",
     "gaussian_codelength",

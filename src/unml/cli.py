@@ -1,8 +1,8 @@
 """Command-line front end: select, genlog, verify, scale.
 
-Every subcommand reads CSV, writes a JSON report (stdout or --output), and is
-deterministic given its arguments: identical invocations produce byte-identical
-reports.
+select, genlog and scale read a CSV.  Every subcommand writes a JSON report
+(stdout or --output) and is deterministic given its arguments: identical
+invocations produce byte-identical reports.
 
 Exit codes: 0 success, 2 I/O failure, 3 infeasible configuration or domain
 violation, 4 numerical failure, 5 verification bound check failed.
@@ -164,12 +164,6 @@ def cmd_scale(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--output", default=None, help="JSON report path (default stdout)")
-    p.add_argument("--header", action="store_true", help="skip the first CSV line")
-
-
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=1.0,
                    help="bound on the squared mean norm (default 1)")
@@ -195,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=float, default=None,
                    help="eigenvalue lower bound (default: derived from the "
                         "smallest observed cluster eigenvalue)")
-    _add_common(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("genlog", help="fit a generalized logistic code length")
@@ -203,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=0.01)
     p.add_argument("--theta-max", type=float, default=100.0)
     p.add_argument("--unit", choices=("nats", "bits"), default="nats")
-    _add_common(p)
     p.set_defaults(func=cmd_genlog)
 
     p = sub.add_parser("verify", help="check the normalization bound by Monte Carlo")
@@ -213,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(p)
     p.add_argument("--eps1", type=float, default=0.01,
                    help="eigenvalue lower bound (default 0.01)")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scale", help="rescale a dataset into the restricted domain")
@@ -221,8 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaled-output", required=True, help="path for the scaled CSV")
     p.add_argument("--margin", type=float, default=1.05)
     _add_domain_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_scale)
+
+    # each command declares only the flags it reads
+    commands = sub.choices
+    for name in ("select", "verify"):
+        commands[name].add_argument("--seed", type=int, default=0,
+                                    help="master seed (default 0)")
+    for name in ("select", "genlog", "scale"):
+        commands[name].add_argument("--header", action="store_true",
+                                    help="skip the first CSV line")
+    for p in commands.values():
+        p.add_argument("--output", default=None, help="JSON report path (default stdout)")
 
     return parser
 
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= args.seed < 2 ** 64:
+        if "seed" in args and not 0 <= args.seed < 2 ** 64:
             raise InvalidInputError(f"seed must be a 64-bit unsigned integer, "
                                     f"got {args.seed}")
         return args.func(args)

@@ -1,4 +1,4 @@
-"""Sufficient statistics, eigendecomposition, restricted-domain membership, scaling.
+"""Sufficient statistics, restricted-domain membership, scaling.
 
 The restricted domain constrains the maximum-likelihood estimates of a dataset:
 the squared norm of the mean must not exceed ``R`` and every eigenvalue of the
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 
-_SYMMETRY_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -54,31 +53,27 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMle:
-    """Maximum-likelihood estimates of a Gaussian: mean, covariance, eigensystem.
+    """Maximum-likelihood estimates of a Gaussian: mean, covariance, eigenvalues.
 
     The covariance uses the 1/n normalization.  Eigenvalues are ascending and
-    non-negative; the eigenbasis is orthonormal with a fixed sign convention
-    (largest-magnitude entry of each eigenvector is non-negative) so results
-    are deterministic.
+    non-negative.  No eigenvectors are kept: the domain constrains only the mean
+    and the eigenvalues, and the bound integrates the eigenvectors out.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenbasis, dtype=float)
         m = mean.shape[0]
-        if cov.shape != (m, m) or vals.shape != (m,) or vecs.shape != (m, m):
+        if cov.shape != (m, m) or vals.shape != (m,):
             raise InvalidInputError("inconsistent shapes for Gaussian MLE fields")
         if np.any(np.diff(vals) < -1e-12):
             raise InvalidInputError("eigenvalues must be sorted ascending")
-        for name, arr in (("mean", mean), ("covariance", cov),
-                          ("eigenvalues", vals), ("eigenbasis", vecs)):
+        for name, arr in (("mean", mean), ("covariance", cov), ("eigenvalues", vals)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -199,6 +194,8 @@ class DomainSpec:
     def uniform(cls, m: int, R: float = 1.0, eps1: float = 0.01,
                 eps2: float = 0.25) -> "DomainSpec":
         """Build a spec with identical per-coordinate bounds."""
+        if m < 1:
+            raise InvalidInputError(f"dimension m must be >= 1, got {m}")
         return cls(R=R, eps1=np.full(m, float(eps1)), eps2=np.full(m, float(eps2)))
 
 
@@ -216,34 +213,6 @@ class DomainCheck:
     mean_slack: float
     lower_slack: np.ndarray
     upper_slack: np.ndarray
-
-
-def eigen_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix with deterministic conventions.
-
-    Returns ``(eigenvalues, basis)`` with eigenvalues ascending and orthonormal
-    eigenvectors in the columns of ``basis``; each column is flipped so its
-    largest-magnitude entry is non-negative.
-
-    Raises
-    ------
-    InvalidInputError
-        If the matrix is not square or not symmetric within 1e-9.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL * scale:
-        raise InvalidInputError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    return vals, _fix_signs(vecs)
-
-
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    # flip each eigenvector column so its largest-magnitude entry is >= 0
-    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None, :], axis=0)
-    return np.where(top < 0, -vecs, vecs)
 
 
 def _rounding_floor(reach: np.ndarray, counts: np.ndarray, lam_max: np.ndarray
@@ -313,10 +282,9 @@ def compute_mle(data: Dataset) -> GaussianMle:
     """
     if data.n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {data.n}")
-    means, cov, vals, vecs = segment_moments(data.rows, np.zeros(1, dtype=int),
-                                             np.array([data.n]))
-    return GaussianMle(mean=means[0], covariance=cov[0], eigenvalues=vals[0],
-                       eigenbasis=_fix_signs(vecs[0]))
+    means, cov, vals, _ = segment_moments(data.rows, np.zeros(1, dtype=int),
+                                          np.array([data.n]))
+    return GaussianMle(mean=means[0], covariance=cov[0], eigenvalues=vals[0])
 
 
 def scale_dataset(data: Dataset, alpha: float) -> Dataset:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import unml
 from unml import load_csv, select
-from unml.cli import main
+from unml.cli import build_parser, main
 
 
 def write_blobs(path, seed=42, n_per=60, gap=10.0, factor=1.0):
@@ -215,6 +216,10 @@ class TestVerify:
         assert main(["verify", "--m", "0"]) == 3
         assert "dimension m must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_negative_m_exit_3(self, capsys):
+        assert main(["verify", "--m", "-1"]) == 3
+        assert "dimension m must be >= 1, got -1" in capsys.readouterr().err
+
     def test_no_accepted_sample_exit_4(self, capsys):
         code = main(["verify", "--m", "1", "--n", "3", "--samples", "10000",
                      "--eps1", "1e-7", "--eps2", "1.0000001e-7"])
@@ -280,6 +285,56 @@ def test_eps2_cap_is_not_a_flag(capsys, argv):
         main([*argv, "--eps2-cap", "0.3"])
     assert info.value.code == 2
     assert "unrecognized arguments: --eps2-cap" in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", ["select", "genlog", "verify", "scale"])
+def test_every_parsed_flag_is_read(tmp_path, command):
+    csv = tmp_path / "blobs.csv"
+    write_blobs(csv, n_per=10)
+    report = str(tmp_path / "report.json")
+    argv = {
+        "select": ["select", str(csv), "--k-max", "1", "--restarts", "1"],
+        "genlog": ["genlog", str(csv)],
+        "verify": ["verify", "--samples", "10000"],
+        "scale": ["scale", str(csv), "--scaled-output", str(tmp_path / "scaled.csv")],
+    }[command]
+    args = build_parser().parse_args([*argv, "--output", report], namespace=_ReadRecorder())
+    args._reads.clear()
+    assert args.func(args) == 0
+    unread = set(vars(args)) - {"_reads", "func", "command"} - args._reads
+    assert not unread, f"{command} parses flags it never reads: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["genlog", "in.csv"], ["--seed", "1"]),
+    (["scale", "in.csv", "--scaled-output", "s.csv"], ["--seed", "1"]),
+    (["verify"], ["--header"]),
+], ids=["genlog-seed", "scale-seed", "verify-header"])
+def test_unread_flags_are_not_declared(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["select", "in.csv"], ["verify"]],
+                         ids=lambda argv: argv[0])
+def test_seed_beyond_64_bits_exit_3(capsys, argv):
+    assert main([*argv, "--seed", str(2 ** 64)]) == 3
+    assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -19,7 +19,6 @@ from unml import (
     cluster,
     complete_data_term,
     compute_mle,
-    eigen_sym,
     exact_log_norm_1d,
     genlog_inverse_cdf,
     genlog_sample,
@@ -41,8 +40,6 @@ SPEC_2D = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
     # the ids are written out, so that removing a row renames no other row
     pytest.param(lambda: Dataset(np.zeros((2, 2, 2))), InvalidInputError,
                  id="<lambda>-InvalidInputError0"),
-    pytest.param(lambda: eigen_sym(np.zeros((2, 3))), InvalidInputError,
-                 id="<lambda>-InvalidInputError1"),
     pytest.param(lambda: choose_scale(Dataset([0.0, 1.0]), SPEC_2D), InvalidInputError,
                  id="<lambda>-InvalidInputError2"),
     pytest.param(lambda: log_multivariate_gamma(0, 1.0), InvalidInputError,
