@@ -128,10 +128,5 @@ def genlog_sample(count: int, theta: float, seed: int) -> np.ndarray:
     """
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
-    return genlog_inverse_cdf(_lattice_uniforms(count, seed), theta)
-
-
-def _lattice_uniforms(count: int, seed: int) -> np.ndarray:
-    # count uniforms on the open 2^53 lattice of (0, 1), from default_rng(seed)
-    rng = np.random.default_rng(int(seed))
-    return rng.integers(1, 2 ** 53, size=count) / float(2 ** 53)
+    u = np.random.default_rng(int(seed)).integers(1, 2 ** 53, size=count) / float(2 ** 53)
+    return genlog_inverse_cdf(u, theta)

@@ -17,6 +17,7 @@ selected K, do not depend on the scale at which the data is encoded.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -359,25 +360,24 @@ def cluster(data: Dataset, k: int, seed: int) -> Assignment:
     float64 rounding bound counts as singular (see
     ``stats.segment_moments``).  SingularCovarianceError is raised when no
     other cluster can spare a point or after 10 singular repairs in one
-    descent.
+    descent.  InvalidInputError is raised for k < 1 and InfeasibleKError
+    when n < k (m + 1).
 
     This is the one-seed case of the descent that ``best_clustering`` runs
     for all its restarts at once; both give the same result for a seed.
     """
-    return _descend(data, k, seed).assignment
+    fit, = _descend_restarts(data, k, [seed])
+    if isinstance(fit, SingularCovarianceError):
+        raise fit
+    return fit.assignment
 
 
-def _descend(data: Dataset, k: int, seed: int) -> ClusterFit:
-    # one seed of _descend_restarts: its best round, or its error raised
-    result, = _descend_restarts(data, k, [seed])
-    if isinstance(result, SingularCovarianceError):
-        raise result
-    return result
-
-
-def _descend_restarts(data: Dataset, k: int, seeds: list) -> list:
+def _descend_restarts(data: Dataset, k: int, seeds: Iterable[int]) -> list:
     """One descent per seed, run together; a ClusterFit or the
     SingularCovarianceError that ended it, per seed in order.
+
+    Only this function checks k >= 1 and n >= k (m + 1); ``seeds`` is read
+    after those checks, so a caller may derive the seeds lazily.
 
     Restarts run in blocks of at most ``_RESTART_BLOCK`` // (n m (k + m))
     seeds, so the temporaries (O(k n m) for the costs and O(n m^2) for the
@@ -389,8 +389,8 @@ def _descend_restarts(data: Dataset, k: int, seeds: list) -> list:
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if n < k * (m + 1):
-        raise InfeasibleKError(
-            f"k={k} needs at least k*(m+1) = {k * (m + 1)} observations, got {n}")
+        raise InfeasibleKError(f"needs at least {k * (m + 1)} observations, have {n}")
+    seeds = list(seeds)
     per_block = max(1, _RESTART_BLOCK // (n * m * (k + m)))
     results = []
     for lo in range(0, len(seeds), per_block):
@@ -478,8 +478,9 @@ def best_clustering(data: Dataset, k: int, seed: int, restarts: int = 8) -> Assi
 def _best_fit(data: Dataset, k: int, seed: int, restarts: int) -> ClusterFit:
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
-    seeds = [_child_seed(seed, k, r) for r in range(restarts if k > 1 else 1)]
-    results = _descend_restarts(data, k, seeds)  # k = 1 has a single clustering
+    # k = 1 has a single clustering; the seeds derive once k has been checked
+    seeds = (_child_seed(seed, k, r) for r in range(restarts if k > 1 else 1))
+    results = _descend_restarts(data, k, seeds)
     fits = [fit for fit in results if isinstance(fit, ClusterFit)]
     if not fits:
         raise results[0]
@@ -490,21 +491,23 @@ def fit_k_range(data: Dataset, k_range, seed: int, restarts: int = 8
                 ) -> tuple[list[ClusterFit], list[SkippedK]]:
     """Best-of-restarts fit for each candidate K, in increasing K.
 
-    Infeasible K values (n < k (m + 1)) are recorded as skipped.
+    A K the descent cannot fit is recorded as skipped with the descent's
+    message: n < k (m + 1) (InfeasibleKError), or every restart ending in a
+    singular covariance (SingularCovarianceError).  When no K fits, the
+    smallest K's error is raised.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise InvalidInputError("k_range is empty")
-    min_size = data.m + 1
-    fits, skipped = [], []
+    fits, skipped, errors = [], [], []
     for k in ks:
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
-        if data.n < k * min_size:
-            skipped.append(SkippedK(
-                k=k, reason=f"needs at least {k * min_size} observations, have {data.n}"))
-            continue
-        fits.append(_best_fit(data, k, seed, restarts))
+        try:
+            fits.append(_best_fit(data, k, seed, restarts))
+        except (InfeasibleKError, SingularCovarianceError) as exc:
+            skipped.append(SkippedK(k=k, reason=str(exc)))
+            errors.append(exc)
+    if not fits:
+        raise errors[0]
     return fits, skipped
 
 
@@ -546,8 +549,10 @@ def select(data: Dataset, k_range, seed: int, restarts: int = 8, *, R: float = 1
     The data is divided by ``choose_scale``'s alpha for the upper bounds
     (``R``, ``eps2``), ``fit_k_range`` fits every K on the scaled data, and
     ``build_report`` prices the fits on the domain with ``eps1``, by default
-    ``derive_eps1`` of the fits.  The report records the alpha and the spec
-    applied.  ``unml select`` is this function.
+    ``derive_eps1`` of the fits.  A K that cannot be fitted is left out of
+    the argmin and listed in the report's ``skipped`` with the reason; the
+    call fails only when no K fits, with the smallest K's error.  The report
+    records the alpha and the spec applied.  ``unml select`` is this function.
     """
     # the whole domain is checked before any fitting; scaling ignores eps1
     spec = DomainSpec.uniform(data.m, R=R, eps1=eps2 if eps1 is None else eps1, eps2=eps2)

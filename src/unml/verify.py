@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DegenerateEstimateError, InvalidInputError
 from .gaussian import _log_size_factor, _neg_log_max_likelihood
-from .genlogistic import _lattice_uniforms, _log1p_exp_neg, genlog_inverse_cdf
-from .mixture import _child_seed, _log_cluster_terms
+from .genlogistic import _log1p_exp_neg, genlog_sample
+from .mixture import _log_cluster_terms
 from .stats import DomainSpec, log_gamma, xlogy
 
 _CHUNK = 16384          # fixed chunk size; chunk index -> seed mapping is part
@@ -356,10 +356,11 @@ def ks_gamma_check(n: int, theta: float, replications: int, seed: int,
     """Test that n / theta_hat over seeded replications follows
     Gamma(shape n, scale 1/theta).
 
-    Each replication samples n generalized-logistic points and records
-    sum_i log(1 + e^(-x_i)).  ``null_scale`` overrides the gamma scale of the
-    null hypothesis, which lets callers demonstrate that a wrong null is
-    rejected.  Passing means the p-value is at or above ``level``.
+    Replication r takes the r-th run of n points from one ``genlog_sample``
+    stream of ``seed`` and records sum_i log(1 + e^(-x_i)).  ``null_scale``
+    overrides the gamma scale of the null hypothesis, which lets callers
+    demonstrate that a wrong null is rejected.  Passing means the p-value is
+    at or above ``level``.
     """
     if replications < 100:
         raise InvalidInputError(f"need at least 100 replications, got {replications}")
@@ -369,11 +370,8 @@ def ks_gamma_check(n: int, theta: float, replications: int, seed: int,
     if not (math.isfinite(theta) and theta > 0):
         raise InvalidInputError(f"theta must be positive, got {theta}")
     scale = 1.0 / theta if null_scale is None else float(null_scale)
-    u = np.empty((replications, n))
-    for r in range(replications):
-        u[r] = _lattice_uniforms(n, _child_seed(seed, r))
-    # row r is genlog_sample(n, theta, _child_seed(seed, r)), transformed at once
-    stats_arr = _log1p_exp_neg(genlog_inverse_cdf(u, theta)).sum(axis=1)
+    x = genlog_sample(replications * n, theta, seed).reshape(replications, n)
+    stats_arr = _log1p_exp_neg(x).sum(axis=1)
     from scipy import stats as spstats  # slow to import; only this check needs it
 
     res = spstats.kstest(stats_arr, "gamma", args=(n, 0.0, scale))

@@ -88,6 +88,21 @@ class TestSelect:
         capsys.readouterr()
         assert code == 3
 
+    def test_k_that_cannot_be_fitted_is_skipped(self, tmp_path, capsys):
+        csv = tmp_path / "ties.csv"
+        x = np.concatenate([np.zeros(50), np.ones(50),
+                            np.random.default_rng(0).standard_normal(6)])
+        np.savetxt(csv, x.reshape(-1, 1), delimiter=",", fmt="%.17g")
+        args = ["select", str(csv), "--restarts", "4", "--seed", "0"]
+        code4, out4 = run(args + ["--k-max", "4"], capsys)
+        code3, out3 = run(args + ["--k-max", "3"], capsys)
+        assert code4 == code3 == 0
+        with_k4, without = json.loads(out4), json.loads(out3)
+        assert with_k4.pop("skipped") == [
+            {"k": 4, "reason": "cluster 2 stayed singular after 10 repair attempts"}]
+        assert without.pop("skipped") == []
+        assert with_k4 == without
+
     def test_constant_column_singular_exit_4_no_report(self, tmp_path, capsys):
         csv = tmp_path / "const.csv"
         np.savetxt(csv, np.full((10, 1), 3.0), delimiter=",")

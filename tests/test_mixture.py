@@ -16,6 +16,7 @@ from unml import (
     InfeasibleKError,
     InvalidAssignmentError,
     SingularCovarianceError,
+    SkippedK,
     best_clustering,
     choose_scale,
     cluster,
@@ -294,9 +295,9 @@ class TestRepairs:
         data = tie_heavy(t)
         for r in failing:
             with pytest.raises(SingularCovarianceError):
-                mixture._descend(data, 3, mixture._child_seed(0, 3, r))
+                cluster(data, 3, mixture._child_seed(0, 3, r))
         fits, _ = fit_k_range(data, [3], 0, 8)
-        best = mixture._descend(data, 3, mixture._child_seed(0, 3, 2))
+        best = mixture._descend_restarts(data, 3, [mixture._child_seed(0, 3, 2)])[0]
         assert np.array_equal(fits[0].assignment.labels, best.assignment.labels)
         assert fits[0].data_term == best.data_term
         assert fits[0].data_term == pytest.approx(data_term, rel=1e-12)
@@ -306,19 +307,42 @@ class TestRepairs:
         with pytest.raises(SingularCovarianceError, match="cluster 1 has singular"):
             best_clustering(data, 3, 0, restarts=2)
 
+    def test_k_whose_restarts_all_fail_is_skipped(self):
+        # every K = 4 restart runs out of repairs on the repeated points
+        x = np.concatenate([np.zeros(50), np.ones(50),
+                            np.random.default_rng(0).standard_normal(6)])
+        report = select(Dataset(x), range(1, 5), seed=0, restarts=4)
+        base = select(Dataset(x), range(1, 4), seed=0, restarts=4)
+        assert report.skipped == (
+            SkippedK(k=4, reason="cluster 2 stayed singular after 10 repair attempts"),)
+        assert report.selected_k == base.selected_k == 3
+        assert np.array_equal(report.spec.eps1, base.spec.eps1)
+        for e, b in zip(report.entries, base.entries, strict=True):
+            assert (e.k, e.data_term, e.log_norm, e.total) == (
+                b.k, b.data_term, b.log_norm, b.total)
+            assert np.array_equal(e.assignment.labels, b.assignment.labels)
+
+    def test_no_fitted_k_raises_the_smallest_ks_error(self):
+        data = Dataset(np.full((10, 1), 3.0))
+        with pytest.raises(SingularCovarianceError,
+                           match="^cluster 1 has singular covariance and no donor"):
+            fit_k_range(data, [9, 2, 1], 0)
+        with pytest.raises(InfeasibleKError, match="^needs at least 18 observations, have 10$"):
+            fit_k_range(data, [20, 9], 0)
+
 
 class TestRoundingFloor:
     """Eigenvalues at the scatter's rounding level count as singular."""
 
     def test_rounding_noise_cluster_is_repaired(self, monkeypatch):
         data = tie_heavy(259)
-        fit = mixture._descend(data, 3, 259)
+        fit = mixture._descend_restarts(data, 3, [259])[0]
         assert fit.assignment.labels.tolist() == [1, 3, 1, 3, 2, 3, 2, 1, 3, 2, 1, 1]
         assert fit.data_term == pytest.approx(-28.217354811341124, rel=1e-9)
         assert fit.min_eigenvalue == pytest.approx(1.536406071347763e-08, rel=1e-9)
         # without the floor the descent prices a cluster of repeated points
         monkeypatch.setattr(stats, "_rounding_floor", lambda reach, counts, lam: 0 * reach)
-        assert mixture._descend(data, 3, 259).min_eigenvalue < 1e-20
+        assert mixture._descend_restarts(data, 3, [259])[0].min_eigenvalue < 1e-20
 
     def test_far_off_tight_cluster_is_kept(self):
         rng = np.random.default_rng(7)
@@ -370,10 +394,8 @@ class TestStackedRestarts:
         """Best of single-seed descents, in restart order; or the first error."""
         fits, errors = [], []
         for r in range(restarts):
-            try:
-                fits.append(mixture._descend(data, k, mixture._child_seed(seed, k, r)))
-            except SingularCovarianceError as exc:
-                errors.append(exc)
+            result = mixture._descend_restarts(data, k, [mixture._child_seed(seed, k, r)])[0]
+            (errors if isinstance(result, SingularCovarianceError) else fits).append(result)
         return min(fits, key=lambda fit: fit.data_term) if fits else errors[0]
 
     def assert_best_of_singles(self, data, k, seed, restarts):
@@ -419,12 +441,12 @@ class TestStackedRestarts:
 
     def test_round_cap_is_reported(self, monkeypatch):
         data = two_blob_data(9, n_per=30)
-        fit = mixture._descend(data, 2, 42)
+        fit = mixture._descend_restarts(data, 2, [42])[0]
         assert fit.converged and 2 <= fit.rounds < mixture._MAX_ROUNDS
         fits, _ = fit_k_range(data, [1, 2], 0, 3)
         assert [(f.rounds, f.converged) for f in fits][0] == (2, True)
         monkeypatch.setattr(mixture, "_MAX_ROUNDS", 1)
-        capped = mixture._descend(data, 2, 42)
+        capped = mixture._descend_restarts(data, 2, [42])[0]
         assert (capped.rounds, capped.converged) == (1, False)
         fits, _ = fit_k_range(data, [1, 2], 0, 3)
         assert all((f.rounds, f.converged) == (1, False) for f in fits)
@@ -490,7 +512,7 @@ class TestSelectK:
         assert {e.k for e in report.entries} == {1, 2, 3, 4}
 
     def test_all_infeasible_raises(self):
-        with pytest.raises(InfeasibleKError):
+        with pytest.raises(InfeasibleKError, match="^needs at least 4 observations, have 3$"):
             select(Dataset([0.0, 1.0, 2.0]), [2, 3], seed=0, eps1=0.01)
 
     def test_more_restarts_never_worse(self):

@@ -87,6 +87,20 @@ def test_rejects_invalid_arguments(call, exc):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    # each argument is checked before any restart seed is derived from it
+    pytest.param(lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), -2, 0),
+                 "k must be >= 1, got -2", id="best_clustering-negative-k"),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [-1, 1], 0),
+                 "k must be >= 1, got -1", id="select-negative-k"),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 5.0, 6.0]), [3, 4], 0, restarts=0),
+                 "restarts must be >= 1, got 0", id="select-zero-restarts-infeasible-k"),
+])
+def test_argument_errors_name_the_argument(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call()
+
+
 def test_all_k_infeasible_is_an_error():
     with pytest.raises(InfeasibleKError):
         select(Dataset([0.0, 1.0, 2.0]), [4, 5], 0, eps1=0.01)
