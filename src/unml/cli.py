@@ -28,6 +28,7 @@ from .mixture import best_clustering  # noqa: F401  (bench/spans.py patches it h
 from .mixture import select
 from .stats import (
     DomainSpec,
+    check_seed,
     choose_scale,
     load_csv,
     save_csv,
@@ -232,9 +233,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "seed" in args and not 0 <= args.seed < 2 ** 64:
-            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, "
-                                    f"got {args.seed}")
+        if "seed" in args:
+            check_seed(args.seed)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError, InvalidInputError
-from .stats import log_gamma
+from .stats import check_seed, log_gamma
 
 _EXPM1_SWITCH = 30.0
 
@@ -128,5 +128,5 @@ def genlog_sample(count: int, theta: float, seed: int) -> np.ndarray:
     """
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
-    u = np.random.default_rng(int(seed)).integers(1, 2 ** 53, size=count) / float(2 ** 53)
+    u = np.random.default_rng(check_seed(seed)).integers(1, 2 ** 53, size=count) / float(2 ** 53)
     return genlog_inverse_cdf(u, theta)

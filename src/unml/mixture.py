@@ -33,6 +33,7 @@ from .stats import (
     Dataset,
     DomainSpec,
     _sum_squares,
+    check_seed,
     choose_scale,
     compute_mle,
     log_gamma,
@@ -254,7 +255,7 @@ def log_mixture_norm(k: int, n: int, spec: DomainSpec) -> float:
 
 def _child_seed(seed: int, *key: int) -> int:
     """Deterministic derived seed for a sub-task."""
-    ss = np.random.SeedSequence([int(seed), *[int(x) for x in key]])
+    ss = np.random.SeedSequence([check_seed(seed), *[int(x) for x in key]])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -366,7 +367,7 @@ def cluster(data: Dataset, k: int, seed: int) -> Assignment:
     This is the one-seed case of the descent that ``best_clustering`` runs
     for all its restarts at once; both give the same result for a seed.
     """
-    fit, = _descend_restarts(data, k, [seed])
+    fit, = _descend_restarts(data, k, [check_seed(seed)])
     if isinstance(fit, SingularCovarianceError):
         raise fit
     return fit.assignment
@@ -554,7 +555,9 @@ def select(data: Dataset, k_range, seed: int, restarts: int = 8, *, R: float = 1
     call fails only when no K fits, with the smallest K's error.  The report
     records the alpha and the spec applied.  ``unml select`` is this function.
     """
-    # the whole domain is checked before any fitting; scaling ignores eps1
+    # the seed and the whole domain are checked before any fitting; scaling
+    # ignores eps1
+    check_seed(seed)
     spec = DomainSpec.uniform(data.m, R=R, eps1=eps2 if eps1 is None else eps1, eps2=eps2)
     alpha = choose_scale(data, spec, margin)
     fits, skipped = fit_k_range(scale_dataset(data, alpha), k_range, seed, restarts)

@@ -101,6 +101,14 @@ def log_gamma(x):
     return values[inverse].reshape(arr.shape)
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; InvalidInputError unless 0 <= seed < 2^64, the
+    seeds every command and library entry point accepts."""
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)
+
+
 def xlogy(x, y):
     """x log y elementwise, with 0 wherever x == 0, as
     ``scipy.special.xlogy`` gives for every y but NaN."""

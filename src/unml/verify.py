@@ -27,7 +27,7 @@ from .errors import DegenerateEstimateError, InvalidInputError
 from .gaussian import _log_size_factor, _neg_log_max_likelihood
 from .genlogistic import _log1p_exp_neg, genlog_sample
 from .mixture import _log_cluster_terms
-from .stats import DomainSpec, log_gamma, xlogy
+from .stats import DomainSpec, check_seed, log_gamma, xlogy
 
 _CHUNK = 16384          # fixed chunk size; chunk index -> seed mapping is part
                         # of the algorithm, and the per-chunk sums are reduced in
@@ -71,7 +71,7 @@ def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     leaves a closed form in the sufficient statistics (mean and total
     scatter), with normal-CDF factors for the box truncation.
     """
-    from scipy.special import logsumexp, ndtr  # slow to import; only the oracles need it
+    from scipy.special import ndtr  # slow to import; only the oracles need it
 
     s = np.sqrt(lam_grid / n)
     hi = (mu_half - mu_hat[:, :, None]) / s
@@ -82,44 +82,52 @@ def _log_proposal_mixture(mu_hat, tr_cov, n, m, mu_half, lam_grid):
     hi -= ndtr(lo, out=lo)
     with np.errstate(divide="ignore"):
         log_dphi = np.log(hi, out=hi).sum(axis=1)
-    del hi, lo      # freed before logsumexp's temporaries are made
     log_comp = np.multiply(tr_cov[:, None], (n / (2.0 * lam_grid))[None, :])
     np.subtract((-(m * n / 2.0) * np.log(2.0 * math.pi * lam_grid))[None, :], log_comp,
                 out=log_comp)
     log_comp += (m / 2.0) * np.log(2.0 * math.pi * lam_grid / n)[None, :]
     log_comp -= m * math.log(2.0 * mu_half)
     log_comp += log_dphi
-    return logsumexp(log_comp, axis=1) - math.log(lam_grid.size)
+    # log-sum-exp over the grid, shifted by each row's maximum; a member's
+    # mean lies in the box, so every normal-CDF factor and row maximum is finite
+    top = log_comp.max(axis=1)
+    log_comp -= top[:, None]
+    np.exp(log_comp, out=log_comp)
+    return np.log(log_comp.sum(axis=1)) + top - math.log(lam_grid.size)
 
 
 def _draw_chunk(rng, y, scratch, cube_half, mu_half, lam_grid):
     """Fill ``y`` (m, n, cn) with one chunk of proposal datasets.
 
-    Each sample is a dataset from the uniform cube or, with probability
-    1 - ``_DEFENSIVE_WEIGHT``, from a hierarchical component: a center
-    uniform in the mean box plus isotropic normals at a grid scale.  The
-    draws pass through ``scratch`` (block, n, m) ``_BLOCK`` samples at a
-    time; consecutive blocks consume the stream exactly as one (cn, n, m)
-    draw would.
+    One binomial draw splits the chunk: each sample comes, independently,
+    from a hierarchical component with probability 1 - ``_DEFENSIVE_WEIGHT``
+    and from the uniform cube otherwise, so the count c of hierarchical
+    samples is Binomial(cn, 1 - ``_DEFENSIVE_WEIGHT``).  The first cn - c
+    samples are cube datasets and the last c are hierarchical ones: a center
+    uniform in the mean box plus isotropic normals at a grid scale.  Only
+    the variates a sample uses are drawn.  The estimator sums over the whole
+    chunk, so the order of the samples within it does not change its law.
+    The uniforms and normals pass through ``scratch`` (block, n, m)
+    ``_BLOCK`` samples at a time; consecutive blocks consume the stream
+    exactly as one (samples, n, m) draw would.
     """
     m, n, cn = y.shape
-    blocks = [slice(b, min(b + _BLOCK, cn)) for b in range(0, cn, _BLOCK)]
-    # both components are drawn for every sample, so use_mix never shifts the stream
-    use_mix = rng.random(cn) >= _DEFENSIVE_WEIGHT
-    scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn)])
-    for b in blocks:
+    split = cn - int(rng.binomial(cn, 1.0 - _DEFENSIVE_WEIGHT))
+    for b in range(0, split, _BLOCK):
         # low + (high - low) * u, as rng.uniform(-cube_half, cube_half) forms it
-        d = rng.random(out=scratch[:b.stop - b.start])
+        d = rng.random(out=scratch[:min(_BLOCK, split - b)])
         d *= 2.0 * cube_half
         d += -cube_half
-        np.copyto(y[:, :, b], d.T)
-    mu_star = rng.uniform(-mu_half, mu_half, (cn, 1, m))
-    for b in blocks:
-        # mu_star + scale * z
-        d = rng.standard_normal(out=scratch[:b.stop - b.start])
-        d *= scale[b, None, None]
-        d += mu_star[b]
-        np.copyto(y[:, :, b], d.T, where=use_mix[b])
+        np.copyto(y[:, :, b:b + len(d)], d.T)
+    scale = np.sqrt(lam_grid[rng.integers(0, lam_grid.size, cn - split)])
+    mu_star = rng.uniform(-mu_half, mu_half, (m, 1, cn - split))
+    for b in range(split, cn, _BLOCK):
+        d = rng.standard_normal(out=scratch[:min(_BLOCK, cn - b)])
+        np.copyto(y[:, :, b:b + len(d)], d.T)
+    # mu_star + scale * z
+    mix = y[:, :, split:]
+    mix *= scale
+    mix += mu_star
 
 
 def _members(y: np.ndarray, spec: DomainSpec):
@@ -146,7 +154,7 @@ def _members(y: np.ndarray, spec: DomainSpec):
     treats each matrix on its own, so the members and their eigenvalues are
     those of decomposing every dataset.
     """
-    n = y.shape[1]
+    m, n = y.shape[:2]
     mu = y.mean(axis=1)
     y -= mu[:, None, :]
     scatter_trace = np.einsum("kji,kji->i", y, y)
@@ -157,11 +165,15 @@ def _members(y: np.ndarray, spec: DomainSpec):
     # entry (k, l) sums d[k, j] * d[l, j] over the points j in order, one
     # (m, m, candidates) product at a time
     cov = d[:, None, 0] * d[None, :, 0]
+    prod = np.empty_like(cov)
     for j in range(1, n):
-        cov += d[:, None, j] * d[None, :, j]
+        cov += np.multiply(d[:, None, j], d[None, :, j], out=prod)
     cov = cov.transpose(2, 0, 1) / n
     lam = np.linalg.eigvalsh(cov)
-    ok = (lam >= spec.eps1).all(axis=1) & (lam <= spec.eps2).all(axis=1)
+    ok = np.ones(len(lam), dtype=bool)
+    for j in range(m):
+        ok &= lam[:, j] >= spec.eps1[j]
+        ok &= lam[:, j] <= spec.eps2[j]
     return mu.T[cand][ok], lam[ok]
 
 
@@ -188,11 +200,12 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     uniform sampling concentrates below the truth for larger n.)
 
     The datasets are drawn in chunks of ``_CHUNK`` from a stream seeded by
-    (seed, chunk index).  A chunk's draws go through a (block, n, m) scratch,
-    ``_BLOCK`` samples at a time, into a coordinate-major (m, n, chunk)
-    buffer: first the cube's datasets, then the mixture component's, copied
-    over the samples that use it.  Consecutive blocks consume the stream as
-    one full-chunk draw would.  Membership is decided in the buffer by
+    (seed, chunk index).  One binomial draw splits a chunk into its cube
+    datasets and its hierarchical ones, and each dataset is drawn from its
+    own component only (:func:`_draw_chunk`).  The draws go through a
+    (block, n, m) scratch, ``_BLOCK`` samples at a time, into a
+    coordinate-major (m, n, chunk) buffer; consecutive blocks consume the
+    stream as one draw would.  Membership is decided in the buffer by
     :func:`_members`: a mean and scatter-trace prefilter that is exact (it
     never rejects a member), then ``eigvalsh`` on the surviving datasets only.
 
@@ -204,8 +217,9 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     member count, and these are reduced in chunk order, so the estimate is
     bit-identical for every W.
 
-    Limited to n * m <= 12 and at least 10^4 samples.
+    Limited to n * m <= 12, at least 10^4 samples and 0 <= seed < 2^64.
     """
+    seed = check_seed(seed)
     m = spec.m
     if n < m + 1:
         raise InvalidInputError(f"need n >= m + 1 = {m + 1}, got {n}")
@@ -229,7 +243,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
         scratch = np.empty((min(_BLOCK, samples), n, m))
         for chunk_index in range(first, len(starts), workers):
             cn = min(_CHUNK, samples - starts[chunk_index])
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_index]))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
             y = buf[:, :, :cn]
             _draw_chunk(rng, y, scratch, cube_half, mu_half, lam_grid)
             mu_hat, lam = _members(y, spec)
@@ -279,7 +293,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     var = max(sum_w2 - samples * mean * mean, 0.0) / (samples - 1)
     std_error = math.sqrt(var / samples)
     return McEstimate(log_value=math.log(mean), std_error_log=std_error / mean,
-                      samples=int(samples), accepted=accepted, seed=int(seed),
+                      samples=int(samples), accepted=accepted, seed=seed,
                       effective_samples=sum_w * sum_w / sum_w2,
                       max_weight_share=max_w / sum_w)
 

@@ -95,6 +95,20 @@ def test_rejects_invalid_arguments(call, exc):
                  "k must be >= 1, got -1", id="select-negative-k"),
     pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 5.0, 6.0]), [3, 4], 0, restarts=0),
                  "restarts must be >= 1, got 0", id="select-zero-restarts-infeasible-k"),
+    # seeds outside [0, 2^64), the range `unml --seed` accepts
+    *[pytest.param(call, f"seed must be a 64-bit unsigned integer, got {seed}",
+                   id=f"{name}-seed-{label}")
+      for seed, label in ((-1, "negative"), (2 ** 70, "2**70"))
+      for name, call in (
+          ("select", lambda seed=seed: select(Dataset([0.0, 1.0, 2.0, 3.0]), [1, 2], seed)),
+          ("cluster", lambda seed=seed: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 1, seed)),
+          ("best_clustering",
+           lambda seed=seed: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), 1, seed)),
+          ("genlog_sample", lambda seed=seed: genlog_sample(5, 1.0, seed)),
+          ("ks_gamma_check", lambda seed=seed: ks_gamma_check(5, 1.0, 100, seed)),
+          ("mc_log_norm_dataspace",
+           lambda seed=seed: mc_log_norm_dataspace(3, SPEC_1D, 10_000, seed)),
+      )],
 ])
 def test_argument_errors_name_the_argument(call, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):

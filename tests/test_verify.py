@@ -112,10 +112,21 @@ class TestMonteCarlo:
         assert est.effective_samples * est.max_weight_share >= 1.0 - 1e-12
 
     def test_single_member_diagnostics(self):
-        est = mc_log_norm_dataspace(3, SPEC_1D_THIN, 100_000, 4)
+        # seed 0 is the smallest seed that accepts exactly one dataset
+        est = mc_log_norm_dataspace(3, SPEC_1D_THIN, 100_000, 0)
         assert est.accepted == 1
         assert est.effective_samples == 1.0
         assert est.max_weight_share == 1.0
+
+    def test_closed_form_over_twenty_seeds(self):
+        # a 3-sigma interval misses with probability 0.27%, so one miss in 20
+        # is already unlikely for a correct estimator
+        exact = exact_log_norm_1d(3, SPEC_1D)
+        misses = 0
+        for seed in range(20):
+            est = mc_log_norm_dataspace(3, SPEC_1D, 50_000, seed)
+            misses += abs(est.log_value - exact) > 3.0 * est.std_error_log
+        assert misses <= 1
 
     def test_zero_acceptance_degenerate(self):
         narrow = DomainSpec.uniform(1, eps1=1e-7, eps2=1.0000001e-7)
@@ -139,21 +150,23 @@ SPEC_3D_SKEW = DomainSpec(R=1.0, eps1=np.array([0.005, 0.01, 0.02]),
 
 
 # Monte Carlo pins: (n, spec, samples, seed, log_value, std_error, accepted).
-# The ids are written out, so that removing a row renames no other row.
+# Each id names its case, not its recorded values, so that re-recording the
+# values or removing a row renames no other row.
 MC_PINS = [
-    # six chunks without a member and one with a single member
-    pytest.param(3, SPEC_1D_THIN, 100_000, 4, -8.2551941562476, 1.0, 1,
-                 id="3-spec0-100000-4--8.2551941562476-1.0-1"),
-    pytest.param(3, SPEC_1D, 100_000, 99, 2.0109946444410585, 0.004887992516680654, 36089,
-                 id="3-spec1-100000-99-2.0109946444410585-0.004887992516680654-36089"),
-    pytest.param(6, SPEC_2D, 100_000, 7, 5.82990627213352, 0.013576851465110331, 17321,
-                 id="6-spec2-100000-7-5.82990627213352-0.013576851465110331-17321"),
-    pytest.param(4, SPEC_3D, 100_000, 11, 5.49099721161351, 0.037590886780506094, 1691,
-                 id="4-spec3-100000-11-5.49099721161351-0.037590886780506094-1691"),
+    # six chunks without a member and one with a single member (seed 0 is the
+    # smallest seed with one member in all)
+    pytest.param(3, SPEC_1D_THIN, 100_000, 0, -8.01990241372106, 1.0, 1,
+                 id="1d-thin-n3"),
+    pytest.param(3, SPEC_1D, 100_000, 99, 1.9989489092896502, 0.004944651086798775, 35499,
+                 id="1d-n3"),
+    pytest.param(6, SPEC_2D, 100_000, 7, 5.8125240495803725, 0.0133020351639734, 17250,
+                 id="2d-n6"),
+    pytest.param(4, SPEC_3D, 100_000, 11, 5.477464618475504, 0.0381765209988425, 1653,
+                 id="3d-n4"),
     # per-coordinate bounds: a trace inside [sum eps1, sum eps2] is not
     # enough, the sorted eigenvalues are checked one by one
-    pytest.param(5, SPEC_2D_SKEW, 100_000, 17, 6.136489302567973, 0.01606384524905298, 15289,
-                 id="5-spec4-100000-17-6.136489302567973-0.01606384524905298-15289"),
+    pytest.param(5, SPEC_2D_SKEW, 100_000, 17, 6.135010653533833, 0.015773616007965917, 15380,
+                 id="2d-skew-n5"),
 ]
 
 
@@ -232,6 +245,68 @@ class TestThreadCount:
             monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
             with pytest.raises(DegenerateEstimateError):
                 mc_log_norm_dataspace(3, narrow, 3 * 16_384, seed=1)
+
+
+class TestDraw:
+    """One binomial draw splits a chunk into cube and hierarchical datasets,
+    and each dataset is drawn from its own component only."""
+
+    @pytest.mark.parametrize("n, spec, samples, seed", [
+        (3, SPEC_1D, 10_000, 5),
+        (6, SPEC_2D, 2 * 16_384, 21),
+        (4, SPEC_3D, 3 * 16_384 + 5, 23),
+    ], ids=["one-chunk", "two-full-chunks", "short-last-chunk"])
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch, n, spec, samples,
+                                                      seed):
+        # blocks end where the cube samples end inside a chunk, so a block
+        # size that does not divide the chunk exercises the split
+        out = set()
+        for block in (1000, 2048, 16_384):
+            monkeypatch.setattr(verify, "_BLOCK", block)
+            out.add(repr(mc_log_norm_dataspace(n, spec, samples, seed)))
+        assert len(out) == 1
+
+    @pytest.mark.parametrize("spec, n, seed", [(SPEC_1D, 3, 0), (SPEC_2D, 6, 1),
+                                               (SPEC_3D_SKEW, 4, 2)],
+                             ids=["1d-n3", "2d-n6", "3d-skew-n4"])
+    def test_components(self, spec, n, seed):
+        from scipy import stats as spstats
+
+        m, cn = spec.m, 16_384
+        cube_half, mu_half = 2.5, 1.0
+        lam_grid = np.geomspace(0.008, 0.3125, 12)
+        rng = _RecordingRng(seed)
+        y = np.empty((m, n, cn))
+        verify._draw_chunk(rng, y, np.empty((2048, n, m)), cube_half, mu_half, lam_grid)
+        c, = rng.draws["binomial"]
+        lo, hi = spstats.binom.interval(1 - 1e-9, cn, 1 - verify._DEFENSIVE_WEIGHT)
+        assert lo <= c <= hi
+        cube = y[:, :, :cn - c].ravel()
+        assert np.all(np.abs(cube) <= cube_half)
+        assert spstats.kstest(cube, "uniform", args=(-cube_half, 2 * cube_half)).pvalue >= 0.01
+        grid_index, = rng.draws["integers"]
+        center, = rng.draws["uniform"]
+        assert np.all(np.abs(center) <= mu_half)
+        z = (y[:, :, cn - c:] - center) / np.sqrt(lam_grid[grid_index])
+        assert spstats.kstest(z.ravel(), "norm").pvalue >= 0.01
+
+
+class _RecordingRng:
+    """A numpy Generator that records what each of its draws returned."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = {}
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.setdefault(name, []).append(out)
+            return out
+
+        return draw
 
 
 def _boundary_datasets(spec, n, count, rng):
