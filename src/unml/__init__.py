@@ -48,7 +48,6 @@ from .mixture import (
     cluster,
     codelength_difference,
     complete_data_term,
-    derive_eps1,
     fit_k_range,
     log_mixture_norm,
     select,
@@ -106,7 +105,6 @@ __all__ = [
     "codelength_difference",
     "complete_data_term",
     "compute_mle",
-    "derive_eps1",
     "exact_log_norm_1d",
     "fit_k_range",
     "gaussian_codelength",

@@ -25,7 +25,7 @@ from .errors import (
 from .gaussian import exact_log_norm_1d, log_norm_bound
 from .genlogistic import GenLogisticSpec, genlog_codelength, genlog_mle
 from .mixture import best_clustering  # noqa: F401  (bench/spans.py patches it here)
-from .mixture import select
+from .mixture import DEFAULT_EPS1, select
 from .stats import (
     DomainSpec,
     check_seed,
@@ -187,9 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slack factor applied to the scale (default 1.05)")
     p.add_argument("--unit", choices=("nats", "bits"), default="nats")
     _add_domain_flags(p)
-    p.add_argument("--eps1", type=float, default=None,
-                   help="eigenvalue lower bound (default: derived from the "
-                        "smallest observed cluster eigenvalue)")
+    p.add_argument("--eps1", type=float, default=DEFAULT_EPS1,
+                   help="eigenvalue lower bound on the scaled data (default %(default)g)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("genlog", help="fit a generalized logistic code length")

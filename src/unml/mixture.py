@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .stats import (
     Dataset,
     DomainSpec,
     _sum_squares,
+    check_index,
     check_seed,
     choose_scale,
     compute_mle,
@@ -48,6 +49,10 @@ _MAX_ROUNDS = 500
 _MAX_REPAIRS = 10
 _TABLE_BLOCK = 1 << 15
 _RESTART_BLOCK = 1 << 17
+# select's eigenvalue floor, fixed before any fit: choose_scale brings the pooled
+# variance to at most eps2 = 0.25, so it admits cluster standard deviations
+# down to 1/500 of the pooled scale
+DEFAULT_EPS1 = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +122,7 @@ class ModelSelectionReport:
 
 @dataclass(frozen=True, eq=False)
 class ClusterFit:
-    """A clustering, its complete-data term and its smallest cluster eigenvalue.
+    """A clustering and its complete-data term.
 
     ``rounds`` counts the descent's rounds (assignment + refit); ``converged``
     is False when the descent stopped at its round cap instead of at the
@@ -126,7 +131,6 @@ class ClusterFit:
 
     assignment: Assignment
     data_term: float
-    min_eigenvalue: float
     rounds: int
     converged: bool
 
@@ -410,7 +414,6 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
     results = [None] * len(seeds)
     best_obj = np.full(len(seeds), math.inf)
     best_labels = np.empty((len(seeds), n), dtype=int)
-    best_lam = np.empty((len(seeds), k, m))
     prev_obj = np.full(len(seeds), math.inf)
     rounds = np.zeros(len(seeds), dtype=int)
     converged = np.zeros(len(seeds), dtype=bool)
@@ -446,7 +449,6 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
         better = obj < best_obj[active]
         best_obj[active[better]] = obj[better]
         best_labels[active[better]] = labels[better]
-        best_lam[active[better]] = lam[better]
         done = prev_obj[active] - obj < _CONVERGENCE_TOL
         converged[active[done]] = True
         prev_obj[active] = obj
@@ -458,8 +460,7 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
     for r, result in enumerate(results):
         if result is None:
             results[r] = ClusterFit(Assignment(labels=best_labels[r] + 1, k=k),
-                                    float(best_obj[r]), float(best_lam[r, :, 0].min()),
-                                    int(rounds[r]), bool(converged[r]))
+                                    float(best_obj[r]), int(rounds[r]), bool(converged[r]))
     return results
 
 
@@ -477,6 +478,7 @@ def best_clustering(data: Dataset, k: int, seed: int, restarts: int = 8) -> Assi
 
 
 def _best_fit(data: Dataset, k: int, seed: int, restarts: int) -> ClusterFit:
+    restarts = check_index(restarts, "restarts")
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     # k = 1 has a single clustering; the seeds derive once k has been checked
@@ -497,7 +499,7 @@ def fit_k_range(data: Dataset, k_range, seed: int, restarts: int = 8
     singular covariance (SingularCovarianceError).  When no K fits, the
     smallest K's error is raised.
     """
-    ks = sorted(set(int(k) for k in k_range))
+    ks = sorted(set(check_index(k, "k") for k in k_range))
     if not ks:
         raise InvalidInputError("k_range is empty")
     fits, skipped, errors = [], [], []
@@ -510,13 +512,6 @@ def fit_k_range(data: Dataset, k_range, seed: int, restarts: int = 8
     if not fits:
         raise errors[0]
     return fits, skipped
-
-
-def derive_eps1(fits: list[ClusterFit], eps2: float) -> float:
-    """Eigenvalue floor for a run: its smallest cluster eigenvalue / 10,
-    floored at 1e-8 and capped at ``eps2``."""
-    smallest = min((fit.min_eigenvalue for fit in fits), default=math.inf)
-    return min(max(smallest / 10.0, 1e-8), eps2)
 
 
 def build_report(fits: list[ClusterFit], skipped: list[SkippedK], spec: DomainSpec,
@@ -543,24 +538,21 @@ def build_report(fits: list[ClusterFit], skipped: list[SkippedK], spec: DomainSp
 
 
 def select(data: Dataset, k_range, seed: int, restarts: int = 8, *, R: float = 1.0,
-           eps2: float = 0.25, eps1: float | None = None,
+           eps2: float = 0.25, eps1: float = DEFAULT_EPS1,
            margin: float = 1.05) -> ModelSelectionReport:
     """Select the number of clusters of raw data over candidate K values.
 
-    The data is divided by ``choose_scale``'s alpha for the upper bounds
-    (``R``, ``eps2``), ``fit_k_range`` fits every K on the scaled data, and
-    ``build_report`` prices the fits on the domain with ``eps1``, by default
-    ``derive_eps1`` of the fits.  A K that cannot be fitted is left out of
+    The domain (``R``, ``eps1``, ``eps2``) is fixed before the data is read.
+    The data is divided by ``choose_scale``'s alpha for its upper bounds,
+    ``fit_k_range`` fits every K on the scaled data, and ``build_report``
+    prices the fits on the domain.  A K that cannot be fitted is left out of
     the argmin and listed in the report's ``skipped`` with the reason; the
     call fails only when no K fits, with the smallest K's error.  The report
     records the alpha and the spec applied.  ``unml select`` is this function.
     """
-    # the seed and the whole domain are checked before any fitting; scaling
-    # ignores eps1
+    # the seed and the whole domain are checked before any fitting
     check_seed(seed)
-    spec = DomainSpec.uniform(data.m, R=R, eps1=eps2 if eps1 is None else eps1, eps2=eps2)
+    spec = DomainSpec.uniform(data.m, R=R, eps1=eps1, eps2=eps2)
     alpha = choose_scale(data, spec, margin)
     fits, skipped = fit_k_range(scale_dataset(data, alpha), k_range, seed, restarts)
-    if eps1 is None:
-        spec = replace(spec, eps1=np.full(data.m, derive_eps1(fits, spec.eps2[0])))
     return build_report(fits, skipped, spec, seed, restarts, alpha)

@@ -10,6 +10,7 @@ is phrased in terms of these statistics.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -101,12 +102,21 @@ def log_gamma(x):
     return values[inverse].reshape(arr.shape)
 
 
+def check_index(value, name: str) -> int:
+    """``value`` as an int; InvalidInputError naming ``name`` unless it is one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int; InvalidInputError unless 0 <= seed < 2^64, the
     seeds every command and library entry point accepts."""
+    seed = check_index(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+    return seed
 
 
 def xlogy(x, y):
@@ -342,9 +352,9 @@ def choose_scale(data: Dataset, spec: DomainSpec, margin: float = 1.0) -> float:
     upper bounds.  Data already inside is scaled up to them, so
     ``choose_scale(c x) = c choose_scale(x)`` and the scaled data does not
     depend on the input's units.  The lower bounds ``eps1`` are not enforced
-    here; they are configuration, typically derived from the scaled data
-    afterwards.  Data whose covariance is identically zero has no scale: it is
-    flagged with a warning and scaled from the mean constraint alone, at least 1.
+    here; they are fixed before the data is seen.  Data whose covariance is
+    identically zero has no scale: it is flagged with a warning and scaled
+    from the mean constraint alone, at least 1.
     """
     margin = float(margin)
     if not (math.isfinite(margin) and margin >= 1.0):

@@ -138,8 +138,8 @@ def test_criterion_3_argmin_invariance_end_to_end(tmp_path, capsys):
         _write_blobs(a, seed=1000 + trial, n_per=50, gap=8.0 + (trial % 5))
         _write_blobs(b, seed=1000 + trial, n_per=50, gap=8.0 + (trial % 5),
                      factor=1e-3)
-        # a fixed eigenvalue floor keeps the normalization table shared; the
-        # derived default would track the data scale and shift every total
+        # the domain, eps1 included, is fixed before the fit, so both runs
+        # price their fits with one normalization table
         common = ["--k-min", "1", "--k-max", "3", "--restarts", "3",
                   "--seed", str(500 + trial), "--eps1", "1e-4"]
         code1 = cli_main(["select", str(a), "--output", str(tmp_path / "r1.json"),

@@ -120,12 +120,15 @@ class TestSelect:
         rows = np.concatenate([rng.normal(c, 1.0, (30, 2)) for c in (0.0, 8.0, 16.0)])
         csv = tmp_path / "blobs.csv"
         np.savetxt(csv, rows, delimiter=",", fmt="%.17g")
+        # None: neither side is given eps1, so both apply the one default
         eps1_flags = [] if eps1 is None else ["--eps1", repr(eps1)]
+        eps1_args = {} if eps1 is None else {"eps1": eps1}
         code, out = run(["select", str(csv), "--k-max", "4", "--restarts", "3",
                          "--seed", "9", *eps1_flags], capsys)
         assert code == 0
         report = json.loads(out)
-        lib = select(load_csv(csv), range(1, 5), seed=9, restarts=3, eps1=eps1)
+        lib = select(load_csv(csv), range(1, 5), seed=9, restarts=3, **eps1_args)
+        assert report["spec"]["eps1"] == [1e-6 if eps1 is None else eps1] * 2
         assert (lib.selected_k, lib.alpha, lib.seed, lib.restarts) == (
             report["selected_k"], report["alpha"], report["seed"], report["restarts"])
         assert report["spec"] == {"R": lib.spec.R, "eps1": lib.spec.eps1.tolist(),

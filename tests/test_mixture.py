@@ -10,7 +10,6 @@ import unml.mixture as mixture
 import unml.stats as stats
 from unml import (
     Assignment,
-    ClusterFit,
     Dataset,
     DomainSpec,
     InfeasibleKError,
@@ -23,7 +22,6 @@ from unml import (
     codelength_difference,
     complete_data_term,
     compute_mle,
-    derive_eps1,
     fit_k_range,
     gaussian_codelength,
     gaussian_data_term,
@@ -43,6 +41,12 @@ def two_blob_data(seed, n_per=60, gap=10.0, m=1, sigma=1.0):
     a = rng.normal(0.0, sigma, size=(n_per, m))
     b = rng.normal(gap, sigma, size=(n_per, m))
     return Dataset(np.vstack([a, b]))
+
+
+def smallest_eigenvalue(data, z):
+    """The smallest covariance eigenvalue over the clusters of an assignment."""
+    return min(compute_mle(Dataset(data.rows[z.labels == c + 1])).eigenvalues[0]
+               for c in range(z.k))
 
 
 def random_valid_assignment(rng, n, m, k):
@@ -339,10 +343,12 @@ class TestRoundingFloor:
         fit = mixture._descend_restarts(data, 3, [259])[0]
         assert fit.assignment.labels.tolist() == [1, 3, 1, 3, 2, 3, 2, 1, 3, 2, 1, 1]
         assert fit.data_term == pytest.approx(-28.217354811341124, rel=1e-9)
-        assert fit.min_eigenvalue == pytest.approx(1.536406071347763e-08, rel=1e-9)
+        assert smallest_eigenvalue(data, fit.assignment) == pytest.approx(
+            1.536406071347763e-08, rel=1e-9)
         # without the floor the descent prices a cluster of repeated points
         monkeypatch.setattr(stats, "_rounding_floor", lambda reach, counts, lam: 0 * reach)
-        assert mixture._descend_restarts(data, 3, [259])[0].min_eigenvalue < 1e-20
+        unfloored = mixture._descend_restarts(data, 3, [259])[0]
+        assert smallest_eigenvalue(data, unfloored.assignment) < 1e-20
 
     def test_far_off_tight_cluster_is_kept(self):
         rng = np.random.default_rng(7)
@@ -352,8 +358,9 @@ class TestRoundingFloor:
         labels = fits[0].assignment.labels
         assert len(set(labels[:40])) == 1 and set(labels[40:]) == {3 - labels[0]}
         smallest = np.linalg.eigvalsh(np.cov(tight.T, bias=True))[0]
-        assert fits[0].min_eigenvalue == pytest.approx(smallest, rel=1e-6)
-        assert fits[0].min_eigenvalue < 1e-12
+        kept = smallest_eigenvalue(data, fits[0].assignment)
+        assert kept == pytest.approx(smallest, rel=1e-6)
+        assert kept < 1e-12
 
     def test_floor_scales_like_an_eigenvalue(self):
         reach, counts, lam = np.array([3.0, 0.5]), np.array([5, 40]), np.array([2.0, 1e-3])
@@ -408,7 +415,8 @@ class TestStackedRestarts:
         got = mixture._best_fit(data, k, seed, restarts)
         assert got.assignment.labels.tolist() == want.assignment.labels.tolist()
         assert repr(got.data_term) == repr(want.data_term)
-        assert got.min_eigenvalue == want.min_eigenvalue
+        assert smallest_eigenvalue(data, got.assignment) == smallest_eigenvalue(
+            data, want.assignment)
         assert (got.rounds, got.converged) == (want.rounds, want.converged)
 
     def test_tie_heavy(self, blocks):
@@ -491,7 +499,7 @@ class TestSelectK:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_selection_does_not_depend_on_the_units(self, seed):
-        # at the default eps1, which is derived from the scaled data
+        # at the default eps1, which is fixed on the scaled data
         x = planted_blobs(seed).rows
         base = select(Dataset(x), range(1, 7), seed=3, restarts=8)
         assert base.selected_k == 4
@@ -503,6 +511,35 @@ class TestSelectK:
                 assert partition_crc(e.assignment.labels) == partition_crc(
                     b.assignment.labels)
                 assert e.total == pytest.approx(b.total, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_entries_do_not_depend_on_the_other_candidates(self, seed):
+        # the domain is fixed before the fit, so no K changes another K's price
+        data = planted_blobs(seed)
+        small = select(data, range(1, 5), seed=3, restarts=8)
+        full = select(data, range(1, 9), seed=3, restarts=8)
+        assert small.selected_k == full.selected_k == 4
+        for e, f in zip(small.entries, full.entries[:4], strict=True):
+            assert (e.k, e.data_term, e.log_norm, e.total) == (
+                f.k, f.data_term, f.log_norm, f.total)
+            assert np.array_equal(e.assignment.labels, f.assignment.labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_selection_does_not_depend_on_the_origin(self, seed):
+        # a shift changes alpha, and at a fixed domain the argmin does not
+        # depend on alpha
+        x = planted_blobs(seed).rows
+        base, shifted = (select(Dataset(rows), range(1, 9), seed=3, restarts=8)
+                         for rows in (x, x + 100.0))
+        assert shifted.selected_k == base.selected_k == 4
+        for e, b in zip(shifted.entries, base.entries, strict=True):
+            assert partition_crc(e.assignment.labels) == partition_crc(b.assignment.labels)
+        t1 = {e.k: e.total for e in base.entries}
+        t2 = {e.k: e.total for e in shifted.entries}
+        for ka in t1:
+            for kb in t1:
+                d1, d2 = t1[ka] - t1[kb], t2[ka] - t2[kb]
+                assert abs(d1 - d2) <= 1e-8 * max(1.0, abs(d1))
 
     def test_skipped_are_recorded(self):
         data = two_blob_data(3, n_per=4)  # n = 8, m = 1: k = 5 infeasible
@@ -535,21 +572,12 @@ class TestFitRecords:
         for fit in fits:
             z = fit.assignment
             assert fit.data_term == complete_data_term(data, z)
-            smallest = min(compute_mle(Dataset(data.rows[z.labels == c + 1])).eigenvalues[0]
-                           for c in range(z.k))
-            assert fit.min_eigenvalue == smallest
+            # the eigenvalues the descent priced are the oracle's
+            _, lam, _ = mixture._fit_clusters(data.rows, z.labels[None] - 1, z.counts[None])
+            assert lam[0, :, 0].min() == smallest_eigenvalue(data, z)
 
     def test_best_fit_matches_best_clustering(self):
         data = two_blob_data(43, n_per=20, gap=4.0)
         fits, _ = fit_k_range(data, [3], seed=5, restarts=4)
         z = best_clustering(data, 3, seed=5, restarts=4)
         assert np.array_equal(fits[0].assignment.labels, z.labels)
-
-    def test_derive_eps1_rule(self):
-        def fit(lam):
-            return ClusterFit(Assignment(labels=[1, 1, 1], k=1), 0.0, lam, 2, True)
-
-        assert derive_eps1([fit(0.5), fit(0.02)], 0.25) == pytest.approx(0.002)
-        assert derive_eps1([fit(1e-12)], 0.25) == 1e-8   # floor
-        assert derive_eps1([fit(10.0)], 0.25) == 0.25    # cap
-        assert derive_eps1([], 0.25) == 0.25             # no eigenvalue, only the cap

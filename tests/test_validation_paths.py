@@ -31,6 +31,7 @@ from unml import (
     select,
 )
 from unml.cli import main
+from unml.stats import check_seed
 
 SPEC_1D = DomainSpec.uniform(1, R=1.0, eps1=0.01, eps2=0.25)
 SPEC_2D = DomainSpec.uniform(2, R=1.0, eps1=0.01, eps2=0.25)
@@ -109,6 +110,19 @@ def test_rejects_invalid_arguments(call, exc):
           ("mc_log_norm_dataspace",
            lambda seed=seed: mc_log_norm_dataspace(3, SPEC_1D, 10_000, seed)),
       )],
+    # an integer argument is an integer, never truncated or parsed from a string
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [1, 2], 2.7),
+                 "seed must be an integer, got 2.7", id="select-seed-float"),
+    pytest.param(lambda: mc_log_norm_dataspace(3, SPEC_1D, 10_000, 0.9),
+                 "seed must be an integer, got 0.9", id="mc_log_norm_dataspace-seed-float"),
+    pytest.param(lambda: check_seed("3"), "seed must be an integer, got '3'",
+                 id="check_seed-seed-str"),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [1, 2.5], 0),
+                 "k must be an integer, got 2.5", id="select-k-float"),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [1, "2"], 0),
+                 "k must be an integer, got '2'", id="select-k-str"),
+    pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [1, 2], 0, restarts=2.5),
+                 "restarts must be an integer, got 2.5", id="select-restarts-float"),
 ])
 def test_argument_errors_name_the_argument(call, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
