@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError, InvalidInputError
-from .stats import check_seed, log_gamma
+from .stats import check_index, check_seed, log_gamma
 
 _EXPM1_SWITCH = 30.0
 
@@ -126,6 +126,7 @@ def genlog_sample(count: int, theta: float, seed: int) -> np.ndarray:
     Uniform draws are taken on a 2^53 lattice excluding both endpoints, so the
     transform never sees u = 0 or u = 1.
     """
+    count = check_index(count, "count")
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count}")
     u = np.random.default_rng(check_seed(seed)).integers(1, 2 ** 53, size=count) / float(2 ** 53)

@@ -32,7 +32,6 @@ from .gaussian import _neg_log_max_likelihood, log_norm_bound
 from .stats import (
     Dataset,
     DomainSpec,
-    _sum_squares,
     check_index,
     check_seed,
     choose_scale,
@@ -124,9 +123,10 @@ class ModelSelectionReport:
 class ClusterFit:
     """A clustering and its complete-data term.
 
-    ``rounds`` counts the descent's rounds (assignment + refit); ``converged``
-    is False when the descent stopped at its round cap instead of at the
-    convergence tolerance.
+    ``rounds`` counts the descent's rounds (assignment + refit); a last round
+    whose labels repeat the previous ones is counted without its refit, which
+    would reproduce the same objective.  ``converged`` is False when the
+    descent stopped at its round cap instead of at the convergence tolerance.
     """
 
     assignment: Assignment
@@ -263,32 +263,43 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _seeded_centers(x: np.ndarray, k: int, seeds: list) -> np.ndarray:
-    """k-means++ style initial centers (r, k, m), one row per seed.
+def _sq_dists(xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (..., n) from each center (..., m) to the points
+    (m, n), added coordinate by coordinate as ``stats._sum_squares`` does."""
+    out = xt[0] - centers[..., :1]
+    np.square(out, out=out)
+    for j in range(1, xt.shape[0]):
+        out += np.square(xt[j] - centers[..., j:j + 1])
+    return out
 
-    Each seed's generator draws a first row index uniformly, then each next
+
+def _seeded_centers(xt: np.ndarray, k: int, seeds: list) -> np.ndarray:
+    """k-means++ style initial centers (r, k, m) of the points (m, n), one row
+    per seed.
+
+    Each seed's generator draws a first point index uniformly, then each next
     one with probability proportional to the squared distance to the nearest
-    chosen row, the draw ``rng.choice(n, p=d2 / d2.sum())`` makes; the
+    chosen point, the draw ``rng.choice(n, p=d2 / d2.sum())`` makes; the
     distance ratios are unchanged when the data is rescaled.
     """
-    n = x.shape[0]
+    n = xt.shape[1]
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     idx = np.empty((len(seeds), k), dtype=int)
     idx[:, 0] = [rng.integers(n) for rng in rngs]
-    d2 = _sum_squares(x - x[idx[:, 0], None, :])
+    d2 = _sq_dists(xt, xt[:, idx[:, 0]].T)
     for j in range(1, k):
         total = d2.sum(axis=1)
         pos = np.flatnonzero(total > 0)
         cdf = (d2[pos] / total[pos, None]).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        # a row index where all distances are 0, else a uniform u for the cdf
+        # a point index where all distances are 0, else a uniform u for the cdf
         draws = np.array([rng.random() if t > 0 else rng.integers(n)
                           for rng, t in zip(rngs, total)])
         idx[:, j] = draws
         # the number of cdf entries <= u is cdf.searchsorted(u, side="right")
         idx[pos, j] = (cdf <= draws[pos, None]).sum(axis=1)
-        d2 = np.minimum(d2, _sum_squares(x - x[idx[:, j], None, :]))
-    return x[idx]
+        d2 = np.minimum(d2, _sq_dists(xt, xt[:, idx[:, j]].T))
+    return xt.T[idx]
 
 
 def _fit_clusters(x: np.ndarray, labels: np.ndarray, counts: np.ndarray
@@ -313,18 +324,22 @@ def _fit_clusters(x: np.ndarray, labels: np.ndarray, counts: np.ndarray
     return means.reshape(r, k, m), vals.reshape(r, k, m), vecs.reshape(r, k, m, m)
 
 
-def _costs(x: np.ndarray, counts: np.ndarray, means: np.ndarray, eigvals: np.ndarray,
+def _costs(xt: np.ndarray, counts: np.ndarray, means: np.ndarray, eigvals: np.ndarray,
            bases: np.ndarray) -> np.ndarray:
-    """Per-cluster, per-point contribution to the complete-data term, (r, k, n).
+    """Per-cluster, per-point contribution to the complete-data term, (r, k, n),
+    of the points (m, n).
 
     With the whitened bases W = bases / sqrt(lam), the Mahalanobis term of
-    point x in a cluster is |x W - mean W|^2.
+    point x in a cluster is |W^T x - W^T mean|^2.
     """
-    n, m = x.shape
+    m, n = xt.shape
     whitened = bases / np.sqrt(eigvals)[..., None, :]
-    y = x @ whitened
-    y -= means[..., None, :] @ whitened
-    out = _sum_squares(y)  # the Mahalanobis terms
+    y = whitened.swapaxes(-1, -2) @ xt
+    y -= (means[..., None, :] @ whitened).swapaxes(-1, -2)
+    np.square(y, out=y)
+    out = y[..., 0, :]  # the Mahalanobis terms, added coordinate by coordinate
+    for j in range(1, m):
+        out += y[..., j, :]
     out *= 0.5
     out += (-np.log(counts / n) + 0.5 * np.log(eigvals).sum(axis=-1)
             + 0.5 * m * _LOG_2PI)[..., None]
@@ -391,6 +406,7 @@ def _descend_restarts(data: Dataset, k: int, seeds: Iterable[int]) -> list:
     the other seeds change its result.
     """
     n, m = data.n, data.m
+    k = check_index(k, "k")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if n < k * (m + 1):
@@ -409,8 +425,9 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
     # converges or fails
     n, m = x.shape
     min_size = m + 1
-    means = _seeded_centers(x, k, seeds)
-    labels = np.argmin(_sum_squares(x[None, :, None, :] - means[:, None, :, :]), axis=2)
+    xt = np.ascontiguousarray(x.T)  # the per-point kernels run along n
+    means = _seeded_centers(xt, k, seeds)
+    labels = np.argmin(_sq_dists(xt, means), axis=1)
     results = [None] * len(seeds)
     best_obj = np.full(len(seeds), math.inf)
     best_labels = np.empty((len(seeds), n), dtype=int)
@@ -419,7 +436,7 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
     converged = np.zeros(len(seeds), dtype=bool)
     repairs = np.zeros(len(seeds), dtype=int)
     active = np.arange(len(seeds))
-    for _ in range(_MAX_ROUNDS):
+    for rnd in range(_MAX_ROUNDS):
         rounds[active] += 1
         counts = np.bincount((labels + k * np.arange(len(active))[:, None]).ravel(),
                              minlength=len(active) * k).reshape(-1, k)
@@ -443,8 +460,9 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
             except SingularCovarianceError as exc:
                 results[active[i]] = exc
                 ok[i] = False
-        active, labels, counts, means, lam, bases = (
-            part[ok] for part in (active, labels, counts, means, lam, bases))
+        if not ok.all():
+            active, labels, counts, means, lam, bases = (
+                part[ok] for part in (active, labels, counts, means, lam, bases))
         obj = _data_term(counts, lam, n)
         better = obj < best_obj[active]
         best_obj[active[better]] = obj[better]
@@ -454,9 +472,17 @@ def _descend_block(x: np.ndarray, k: int, seeds: list) -> list:
         prev_obj[active] = obj
         active, labels, counts, means, lam, bases = (
             part[~done] for part in (active, labels, counts, means, lam, bases))
+        if not active.size or rnd + 1 == _MAX_ROUNDS:
+            break
+        new = np.argmin(_costs(xt, counts, means, lam, bases), axis=1)
+        # labels that repeat would be refitted to the same clusters and the
+        # same objective next round: that round is counted, not run
+        same = (new == labels).all(axis=1)
+        rounds[active[same]] += 1
+        converged[active[same]] = True
+        active, labels, means = active[~same], new[~same], means[~same]
         if not active.size:
             break
-        labels = np.argmin(_costs(x, counts, means, lam, bases), axis=1)
     for r, result in enumerate(results):
         if result is None:
             results[r] = ClusterFit(Assignment(labels=best_labels[r] + 1, k=k),
@@ -482,7 +508,7 @@ def _best_fit(data: Dataset, k: int, seed: int, restarts: int) -> ClusterFit:
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     # k = 1 has a single clustering; the seeds derive once k has been checked
-    seeds = (_child_seed(seed, k, r) for r in range(restarts if k > 1 else 1))
+    seeds = (_child_seed(seed, k, r) for r in range(restarts) if r == 0 or k > 1)
     results = _descend_restarts(data, k, seeds)
     fits = [fit for fit in results if isinstance(fit, ClusterFit)]
     if not fits:

@@ -27,7 +27,7 @@ from .errors import DegenerateEstimateError, InvalidInputError
 from .gaussian import _log_size_factor, _neg_log_max_likelihood
 from .genlogistic import _log1p_exp_neg, genlog_sample
 from .mixture import _log_cluster_terms
-from .stats import DomainSpec, check_seed, log_gamma, xlogy
+from .stats import DomainSpec, check_index, check_seed, log_gamma, xlogy
 
 _CHUNK = 16384          # fixed chunk size; chunk index -> seed mapping is part
                         # of the algorithm, and the per-chunk sums are reduced in
@@ -220,6 +220,7 @@ def mc_log_norm_dataspace(n: int, spec: DomainSpec, samples: int, seed: int) -> 
     Limited to n * m <= 12, at least 10^4 samples and 0 <= seed < 2^64.
     """
     seed = check_seed(seed)
+    n, samples = check_index(n, "n"), check_index(samples, "samples")
     m = spec.m
     if n < m + 1:
         raise InvalidInputError(f"need n >= m + 1 = {m + 1}, got {n}")
@@ -376,6 +377,7 @@ def ks_gamma_check(n: int, theta: float, replications: int, seed: int,
     demonstrate that a wrong null is rejected.  Passing means the p-value is
     at or above ``level``.
     """
+    n, replications = check_index(n, "n"), check_index(replications, "replications")
     if replications < 100:
         raise InvalidInputError(f"need at least 100 replications, got {replications}")
     if n < 1:

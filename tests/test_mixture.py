@@ -433,19 +433,22 @@ class TestStackedRestarts:
 
     def test_fit_k_range_is_pinned(self):
         # recorded before restarts were stacked; the partitions are unchanged
-        # and data_term moved by at most 4e-15 relative
+        # and data_term moved by at most 4e-15 relative.  The best restart's
+        # (rounds, converged) were recorded while every round was refitted,
+        # the last one whose labels repeat included
         data = planted_blobs(6)
         fits, _ = fit_k_range(data, range(1, 9), 6, 16)
         expected = [
-            (1, 1597.798857242818, 3160482835), (2, 1517.608191075427, 3086725000),
-            (3, 1438.572919683732, 8241286), (4, 1327.7592081200821, 824918795),
-            (5, 1319.154078130952, 1164171394), (6, 1315.69951996068, 3303606850),
-            (7, 1306.0936107752036, 1864449675), (8, 1299.1519864151448, 3524461297),
+            (1, 1597.798857242818, 3160482835, 2), (2, 1517.608191075427, 3086725000, 3),
+            (3, 1438.572919683732, 8241286, 3), (4, 1327.7592081200821, 824918795, 2),
+            (5, 1319.154078130952, 1164171394, 4), (6, 1315.69951996068, 3303606850, 10),
+            (7, 1306.0936107752036, 1864449675, 4), (8, 1299.1519864151448, 3524461297, 4),
         ]
-        assert [fit.assignment.k for fit in fits] == [k for k, _, _ in expected]
-        for fit, (_, data_term, crc) in zip(fits, expected):
+        assert [fit.assignment.k for fit in fits] == [k for k, _, _, _ in expected]
+        for fit, (_, data_term, crc, rounds) in zip(fits, expected):
             assert fit.data_term == pytest.approx(data_term, rel=1e-12)
             assert partition_crc(fit.assignment.labels) == crc
+            assert (fit.rounds, fit.converged) == (rounds, True)
 
     def test_round_cap_is_reported(self, monkeypatch):
         data = two_blob_data(9, n_per=30)
@@ -458,6 +461,55 @@ class TestStackedRestarts:
         assert (capped.rounds, capped.converged) == (1, False)
         fits, _ = fit_k_range(data, [1, 2], 0, 3)
         assert all((f.rounds, f.converged) == (1, False) for f in fits)
+
+
+class TestDescentKernels:
+    """The descent's per-point kernels against plain numpy."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_costs_are_the_mahalanobis_costs(self, m):
+        rng = np.random.default_rng(m)
+        n, k = 50, 3
+        # cluster eigenvalues above 1, so no two of the cost's terms cancel
+        x = rng.normal(size=(n, m)) @ (5.0 * np.eye(m) + rng.normal(size=(m, m)))
+        x += rng.normal(size=m)
+        labels = np.stack([random_valid_assignment(rng, n, m, k).labels - 1
+                           for _ in range(2)])
+        counts = np.stack([np.bincount(row, minlength=k) for row in labels])
+        means, lam, bases = mixture._fit_clusters(x, labels, counts)
+        got = mixture._costs(np.ascontiguousarray(x.T), counts, means, lam, bases)
+        assert got.shape == (2, k, n)
+        for r in range(2):
+            for c in range(k):
+                members = x[labels[r] == c]
+                cov = np.atleast_2d(np.cov(members.T, bias=True))
+                assert np.linalg.eigvalsh(cov)[0] > 1.0
+                dev = (x - members.mean(axis=0)).T
+                mahalanobis = (dev * np.linalg.solve(cov, dev)).sum(axis=0)
+                want = (0.5 * mahalanobis + 0.5 * np.linalg.slogdet(cov)[1]
+                        + 0.5 * m * math.log(2 * math.pi) - math.log(counts[r, c] / n))
+                np.testing.assert_allclose(got[r, c], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_initial_labels_are_the_nearest_center(self, m, monkeypatch):
+        # after one round the labels are the initial assignment, since no
+        # cluster needs a point donated
+        monkeypatch.setattr(mixture, "_MAX_ROUNDS", 1)
+        n, k = 120, 4
+        data = planted_blobs(m, n=n, m=m, k=k)
+        x = data.rows
+        seeds = [mixture._child_seed(m, k, r) for r in range(6)]
+        for seed, fit in zip(seeds, mixture._descend_restarts(data, k, seeds), strict=True):
+            # k-means++ seeding as rng.choice draws it
+            rng = np.random.default_rng(seed)
+            idx = [rng.integers(n)]
+            d2 = ((x - x[idx[0]]) ** 2).sum(axis=1)
+            for _ in range(1, k):
+                idx.append(rng.choice(n, p=d2 / d2.sum()))
+                d2 = np.minimum(d2, ((x - x[idx[-1]]) ** 2).sum(axis=1))
+            want = ((x[:, None, :] - x[idx]) ** 2).sum(axis=2).argmin(axis=1)
+            assert np.all(np.bincount(want, minlength=k) >= m + 1)
+            assert fit.assignment.labels.tolist() == (want + 1).tolist()
 
 
 class TestSelectK:

@@ -123,6 +123,22 @@ def test_rejects_invalid_arguments(call, exc):
                  "k must be an integer, got '2'", id="select-k-str"),
     pytest.param(lambda: select(Dataset([0.0, 1.0, 2.0, 3.0]), [1, 2], 0, restarts=2.5),
                  "restarts must be an integer, got 2.5", id="select-restarts-float"),
+    pytest.param(lambda: cluster(Dataset([0.0, 1.0, 2.0, 3.0]), 2.5, 0),
+                 "k must be an integer, got 2.5", id="cluster-k-float"),
+    pytest.param(lambda: best_clustering(Dataset([0.0, 1.0, 2.0, 3.0]), "2", 0),
+                 "k must be an integer, got '2'", id="best_clustering-k-str"),
+    pytest.param(lambda: genlog_sample(2.5, 1.0, 0), "count must be an integer, got 2.5",
+                 id="genlog_sample-count-float"),
+    pytest.param(lambda: mc_log_norm_dataspace(3.5, SPEC_1D, 10_000, 0),
+                 "n must be an integer, got 3.5", id="mc_log_norm_dataspace-n-float"),
+    pytest.param(lambda: mc_log_norm_dataspace(3, SPEC_1D, 1e4, 0),
+                 "samples must be an integer, got 10000.0",
+                 id="mc_log_norm_dataspace-samples-float"),
+    pytest.param(lambda: ks_gamma_check(5.5, 1.0, 100, 0), "n must be an integer, got 5.5",
+                 id="ks_gamma_check-n-float"),
+    pytest.param(lambda: ks_gamma_check(5, 1.0, 100.0, 0),
+                 "replications must be an integer, got 100.0",
+                 id="ks_gamma_check-replications-float"),
 ])
 def test_argument_errors_name_the_argument(call, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
